@@ -349,44 +349,75 @@ class CorpusFitness:
         return float(vals.sum())
 
 
+@dataclass(frozen=True)
+class FqeData:
+    """One corpus's arrays for off-policy evaluation, built once per corpus.
+
+    ``X_sa`` holds (state features, one-hot logged action) per transition,
+    ``S_next_open`` the successor states of the non-terminal transitions and
+    ``starts`` the row of every dialog's first turn.
+    """
+
+    X_sa: np.ndarray
+    S_next_open: np.ndarray
+    term: np.ndarray
+    r: np.ndarray
+    starts: np.ndarray
+    n_actions: int
+
+
+def fqe_data(transitions: Sequence[Transition], feature_names: Sequence[str],
+             action_set: Sequence[str], rewards: RewardConfig) -> FqeData:
+    """Validate a corpus and build its off-policy evaluation arrays."""
+    dialogs = group_dialogs(transitions)
+    S, A, S_next, term, r = _corpus_arrays(transitions, feature_names,
+                                           tuple(action_set), rewards)
+    starts = np.cumsum([0] + [len(d) for d in dialogs[:-1]], dtype=np.int64)
+    return FqeData(np.hstack([S, _one_hot(A, len(action_set))]),
+                   S_next[~term], term, r, starts, len(action_set))
+
+
+def policy_next_actions(policy: BatchPolicy, data: FqeData) -> np.ndarray:
+    """The evaluated policy's action index at every open successor state."""
+    pi_next = np.asarray(policy(data.S_next_open), dtype=np.int64)
+    if len(pi_next) and (pi_next.min() < 0 or pi_next.max() >= data.n_actions):
+        raise MalformedEpisode("evaluated policy chose an action outside the "
+                               "corpus action set")
+    return pi_next
+
+
+def fitted_q_evaluation(data: FqeData, pi_next: np.ndarray,
+                        cfg: FittedQConfig) -> float:
+    """Off-policy value estimate: mean bootstrapped return of starting turns.
+
+    Runs the fitted-Q iteration scheme with the action maximum replaced by
+    the evaluated policy's own choice ``pi_next`` at the successor state,
+    then averages the first-turn targets over dialogs.
+    """
+    X_next_pi = np.hstack([data.S_next_open, _one_hot(pi_next, data.n_actions)])
+    term, r = data.term, data.r
+    open_rows = ~term
+    Q = np.zeros(len(r))
+    reg = None
+    for l in range(1, cfg.l_max + 1):
+        q_pi = np.zeros(len(X_next_pi)) if reg is None else reg.predict(X_next_pi)
+        Q[term] = r[term]
+        Q[open_rows] = r[open_rows] + cfg.gamma * q_pi
+        reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
+                                  seed=(cfg.seed, l)).fit(data.X_sa, Q)
+    return float(Q[data.starts].mean())
+
+
 def evaluate_policy_on_corpus(policy: BatchPolicy,
                               transitions: Sequence[Transition],
                               feature_names: Sequence[str],
                               action_set: Sequence[str],
                               rewards: RewardConfig,
                               cfg: FittedQConfig) -> float:
-    """Off-policy value estimate: mean bootstrapped return of starting turns.
-
-    Runs the fitted-Q iteration scheme with the action maximum replaced by
-    the evaluated policy's own choice at the successor state, then averages
-    the first-turn targets over dialogs.
-    """
-    dialogs = group_dialogs(transitions)
-    action_set = tuple(action_set)
-    S, A, S_next, term, r = _corpus_arrays(transitions, feature_names,
-                                           action_set, rewards)
-    n = len(transitions)
-    X_sa = np.hstack([S, _one_hot(A, len(action_set))])
-    open_rows = ~term
-    pi_next = np.asarray(policy(S_next[open_rows]), dtype=np.int64)
-    if len(pi_next) and (pi_next.min() < 0 or pi_next.max() >= len(action_set)):
-        raise MalformedEpisode("evaluated policy chose an action outside the "
-                               "corpus action set")
-    X_next_pi = np.hstack([S_next[open_rows], _one_hot(pi_next, len(action_set))])
-    Q = np.zeros(n)
-    reg = None
-    for l in range(1, cfg.l_max + 1):
-        q_pi = np.zeros(open_rows.sum()) if reg is None else reg.predict(X_next_pi)
-        Q[term] = r[term]
-        Q[open_rows] = r[open_rows] + cfg.gamma * q_pi
-        reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                  seed=(cfg.seed, l)).fit(X_sa, Q)
-    starts = []
-    pos = 0
-    for d in dialogs:
-        starts.append(pos)
-        pos += len(d)
-    return float(Q[np.array(starts, dtype=np.int64)].mean())
+    """Off-policy value estimate of ``policy`` on a corpus (see
+    ``fitted_q_evaluation``)."""
+    data = fqe_data(transitions, feature_names, action_set, rewards)
+    return fitted_q_evaluation(data, policy_next_actions(policy, data), cfg)
 
 
 def template_corpus_policy(ast: TemplateAst, params,

@@ -25,10 +25,9 @@ EXIT_PARSE = 3
 EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
-_PARSE_ERRORS = (dsl.TemplateError,)
-_DATA_ERRORS = (corpus_io.CorpusParseError, corpus_io.SchemaMismatch,
-                corpus_io.MissingTerminal, batch_rl.MalformedEpisode,
-                batch_rl.ModelSchemaError)
+_PARSE_ERRORS = (dsl.TemplateError, corpus_io.CorpusParseError)
+_DATA_ERRORS = (corpus_io.SchemaMismatch, corpus_io.MissingTerminal,
+                batch_rl.MalformedEpisode, batch_rl.ModelSchemaError)
 _NUMERIC_ERRORS = (baselines.DivergenceDetected, evolution.FitnessEvaluationFailure)
 
 
@@ -147,6 +146,12 @@ def cmd_train_sim(args) -> int:
     return 0
 
 
+def _fqe_job(shared, job) -> float:
+    splits, cfg = shared
+    split, pi_next = job
+    return batch_rl.fitted_q_evaluation(splits[split], pi_next, cfg)
+
+
 def cmd_train_corpus(args) -> int:
     ast = _load_template(args.template)
     if ast.has_structural_params:
@@ -180,17 +185,21 @@ def cmd_train_corpus(args) -> int:
             fitness = batch_rl.CorpusFitness(ast, train_states,
                                              header.feature_names, mode, q,
                                              clf, qv_cfg)
-            best, _ = evolution.run_ga(fitness, _ga_config(args),
-                                       n_workers=_workers())
+            # a corpus fitness call takes ~0.1 ms: dispatch would cost more
+            best, _ = evolution.run_ga(fitness, _ga_config(args), n_workers=1)
             policies[name] = batch_rl.template_corpus_policy(
                 ast, best.genome, header.feature_names, header.action_set)
             params_by_dm[name] = [float(v) for v in best.genome]
+        splits = [batch_rl.fqe_data(split, header.feature_names,
+                                    header.action_set, header.reward_config)
+                  for split in (train, test)]
+        jobs = [(i, batch_rl.policy_next_actions(policies[name], data))
+                for name in dm_names for i, data in enumerate(splits)]
+        values = iter(evolution.parallel_map(_fqe_job, jobs, _workers(),
+                                             (splits, fq_cfg)))
         for name in dm_names:
-            for split_name, split in (("train", train), ("test", test)):
-                value = batch_rl.evaluate_policy_on_corpus(
-                    policies[name], split, header.feature_names,
-                    header.action_set, header.reward_config, fq_cfg)
-                scores[name][split_name].append(value)
+            for split_name in ("train", "test"):
+                scores[name][split_name].append(next(values))
         best_rounds.append({"round": r, "params": params_by_dm[chosen],
                             "test_score": scores[chosen]["test"][-1]})
         print(f"round {r}: {chosen} test score "
@@ -213,16 +222,19 @@ def cmd_train_corpus(args) -> int:
     return 0
 
 
+def _sweep_level(shared, rate: float) -> list:
+    ast, params, ontology, episodes, seed = shared
+    res = simulator.evaluate_policy_sim(
+        simulator.template_policy(ast, params), ontology, SIM_REWARDS,
+        episodes, seed, error_rate=rate)
+    return [rate, res.mean_reward, float(res.rewards.std()), res.mean_length,
+            float(res.lengths.std()), res.completion_rate]
+
+
 def _noise_sweep(args, ast, params, ontology, out: Path) -> None:
-    policy = simulator.template_policy(ast, params)
-    rows = []
-    for rate in _parse_levels(args.noise):
-        res = simulator.evaluate_policy_sim(
-            policy, ontology, SIM_REWARDS, args.episodes, args.seed,
-            error_rate=rate)
-        rows.append([rate, res.mean_reward, float(res.rewards.std()),
-                     res.mean_length, float(res.lengths.std()),
-                     res.completion_rate])
+    rows = evolution.parallel_map(
+        _sweep_level, _parse_levels(args.noise), _workers(),
+        (ast, params, ontology, args.episodes, args.seed))
     _write_csv(out / "noise_sweep.csv",
                ["error_rate", "mean_reward", "std_reward", "mean_length",
                 "std_length", "completion_rate"], rows)

@@ -6,12 +6,12 @@ s, a, s_next, terminal}`` with the feature vectors as float lists.  Floats
 are written with 17 significant digits so that save(load(f)) is
 byte-identical for canonical files.  Transitions of one dialog are
 contiguous, turn numbers consecutive, and the dialog's last transition is its
-single terminal one.
+single terminal one.  Every feature and reward value is finite.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -125,6 +125,8 @@ def _parse_header(obj: dict, line: int) -> CorpusHeader:
                                float(rc["gamma"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusParseError(f"bad header: {exc}", line) from None
+    if not np.isfinite(astuple(rewards)).all():
+        raise CorpusParseError("non-finite reward value in the header", line)
     if version != FEATURE_SCHEMA_VERSION:
         raise SchemaMismatch(
             f"unsupported schema version {version!r} (expected "
@@ -145,6 +147,7 @@ def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
     header = _parse_header(header_obj, 1)
     n_features = len(header.feature_names)
     transitions: list[Transition] = []
+    linenos: list[int] = []
     closed_dialogs: set[int] = set()
     current_id: int | None = None
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -159,7 +162,7 @@ def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
                            np.asarray(obj["s"], dtype=np.float64), str(obj["a"]),
                            np.asarray(obj["s_next"], dtype=np.float64),
                            bool(obj["terminal"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusParseError(f"bad transition record: {exc}", lineno) from None
         if len(t.s) != n_features or len(t.s_next) != n_features:
             raise SchemaMismatch(
@@ -186,9 +189,18 @@ def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
                     f"dialog {t.dialog_id}: turn {t.turn} follows "
                     f"{transitions[-1].turn}", lineno)
         transitions.append(t)
+        linenos.append(lineno)
     if transitions and not transitions[-1].terminal:
         raise MissingTerminal(transitions[-1].dialog_id,
                               "dialog ended without a terminal transition")
+    if transitions:
+        # json.loads accepts NaN and Infinity, and 1e400 parses to inf
+        finite = (np.isfinite(np.stack([t.s for t in transitions])).all(axis=1)
+                  & np.isfinite(np.stack([t.s_next for t in transitions]))
+                  .all(axis=1))
+        if not finite.all():
+            raise CorpusParseError("non-finite feature value",
+                                   linenos[int(finite.argmin())])
     return header, transitions
 
 

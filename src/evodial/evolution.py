@@ -5,13 +5,18 @@ fitness, so the best-fitness trace never decreases), adds n_mut mutants of
 that fittest, and fills the rest with mutate(crossover(tournament, tournament))
 children.  Mutation perturbs genes with a skewed half-Gaussian centered at the
 current value, rejection-resampled to stay inside [0, 1].
+
+``worker_map`` and ``parallel_map`` are the one place that dispatches work to
+worker processes, for the GA's fitness calls and for the CLI's other
+parallel steps.
 """
 from __future__ import annotations
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Protocol, Sequence
+from typing import IO, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -187,30 +192,62 @@ def _eval_stream(seed: int, generation: int, index: int) -> np.random.Generator:
         np.random.SeedSequence([seed, _EVAL_STREAM, generation, index]))
 
 
-def _eval_one(args) -> float:
-    fitness, genome, seed, generation, index = args
+# (fn, shared) of the pool this worker process belongs to; set once per worker
+# by the pool initializer, so jobs carry only their own small arguments.
+_worker_task = None
+
+
+def _install_task(fn, shared) -> None:
+    global _worker_task
+    _worker_task = (fn, shared)
+
+
+def _run_task(job):
+    fn, shared = _worker_task
+    return fn(shared, job)
+
+
+@contextmanager
+def worker_map(fn: Callable, shared, n_workers: int):
+    """Yield ``map(jobs)``, an iterator of ``fn(shared, job)`` in job order.
+
+    With ``n_workers > 1`` one process pool serves every ``map`` call made in
+    the block: ``shared`` reaches each worker once, through the pool
+    initializer, and only the jobs are sent per call.  The pool is shut down
+    and its workers joined when the block exits.  With one worker ``fn`` runs
+    inline.  Results are fetched lazily in both cases, so an exception
+    surfaces at the position of the job that raised it.
+    """
+    if n_workers <= 1:
+        yield lambda jobs: (fn(shared, job) for job in jobs)
+        return
+    pool = ProcessPoolExecutor(max_workers=n_workers, initializer=_install_task,
+                               initargs=(fn, shared))
+    try:
+        yield lambda jobs: pool.map(_run_task, jobs)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def parallel_map(fn: Callable, jobs: Sequence, n_workers: int,
+                 shared) -> list:
+    """``[fn(shared, job) for job in jobs]``, over ``n_workers`` processes."""
+    with worker_map(fn, shared, n_workers) as map_jobs:
+        return list(map_jobs(jobs))
+
+
+def _eval_one(fitness: FitnessFunction, job) -> float:
+    genome, seed, generation, index = job
     return float(fitness.evaluate(genome, _eval_stream(seed, generation, index)))
 
 
-def _evaluate_population(pop: list[Individual], fitness: FitnessFunction,
-                         seed: int, generation: int, n_workers: int) -> None:
-    pending = [(i, ind) for i, ind in enumerate(pop) if ind.fitness is None]
-    if not pending:
-        return
-    if n_workers > 1:
-        jobs = [(fitness, ind.genome, seed, generation, i) for i, ind in pending]
+def _evaluate_population(pop: list[Individual], seed: int, generation: int,
+                         map_jobs) -> None:
+    pending = [i for i, ind in enumerate(pop) if ind.fitness is None]
+    results = map_jobs([(pop[i].genome, seed, generation, i) for i in pending])
+    for i in pending:
         try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                results = list(pool.map(_eval_one, jobs))
-        except Exception as exc:  # surfaced with best-effort location
-            raise FitnessEvaluationFailure(generation, -1, exc) from exc
-        for (i, ind), value in zip(pending, results):
-            ind.fitness = value
-        return
-    for i, ind in pending:
-        try:
-            ind.fitness = float(fitness.evaluate(
-                ind.genome, _eval_stream(seed, generation, i)))
+            pop[i].fitness = next(results)
         except Exception as exc:
             raise FitnessEvaluationFailure(generation, i, exc) from exc
 
@@ -230,7 +267,8 @@ def run_ga(fitness: FitnessFunction, cfg: GaConfig,
     Serial and parallel (n_workers > 1) execution produce identical results:
     every fitness evaluation uses an RNG stream derived from (seed,
     generation, individual index), and GA bookkeeping stays on a single
-    operations stream.
+    operations stream.  With n_workers > 1 one worker pool serves the whole
+    run; the fitness object reaches each worker once.
     """
     cfg.validate()
     n_params = fitness.n_params
@@ -238,33 +276,35 @@ def run_ga(fitness: FitnessFunction, cfg: GaConfig,
         raise InvalidConfig("fitness function must declare n_params >= 1")
     ops = np.random.default_rng(np.random.SeedSequence([cfg.seed, _OPS_STREAM]))
     pop = [Individual(ops.random(n_params)) for _ in range(cfg.n_pop)]
-    _evaluate_population(pop, fitness, cfg.seed, 0, n_workers)
-    trace = GenerationTrace()
+    with worker_map(_eval_one, fitness, n_workers) as map_jobs:
+        _evaluate_population(pop, cfg.seed, 0, map_jobs)
+        trace = GenerationTrace()
 
-    def record(gen: int) -> float:
-        values = np.array([ind.fitness for ind in pop])
-        row = TraceRow(gen, float(values.max()), float(values.mean()),
-                       float(values.std()))
-        trace.rows.append(row)
-        return row.best_fitness
+        def record(gen: int) -> float:
+            values = np.array([ind.fitness for ind in pop])
+            row = TraceRow(gen, float(values.max()), float(values.mean()),
+                           float(values.std()))
+            trace.rows.append(row)
+            return row.best_fitness
 
-    best = record(0)
-    stale = 0
-    for t in range(1, cfg.t_max + 1):
-        elite = pop[_fittest_index(pop)]
-        next_pop = [elite.copy()]
-        for _ in range(cfg.n_mut):
-            next_pop.append(mutate(elite, cfg.sigma, cfg.mu_mut, ops))
-        for _ in range(cfg.n_pop - cfg.n_mut - 1):
-            p1 = tournament_select(pop, cfg.k, ops)
-            p2 = tournament_select(pop, cfg.k, ops)
-            child = crossover(p1, p2, ops, cfg.crossover_style)
-            next_pop.append(mutate(child, cfg.sigma, cfg.mu_mut, ops))
-        pop = next_pop
-        _evaluate_population(pop, fitness, cfg.seed, t, n_workers)
-        new_best = record(t)
-        stale = stale + 1 if new_best == best else 0
-        best = new_best
-        if cfg.convergence_window is not None and stale >= cfg.convergence_window:
-            break
-    return pop[_fittest_index(pop)].copy(), trace
+        best = record(0)
+        stale = 0
+        for t in range(1, cfg.t_max + 1):
+            elite = pop[_fittest_index(pop)]
+            next_pop = [elite.copy()]
+            for _ in range(cfg.n_mut):
+                next_pop.append(mutate(elite, cfg.sigma, cfg.mu_mut, ops))
+            for _ in range(cfg.n_pop - cfg.n_mut - 1):
+                p1 = tournament_select(pop, cfg.k, ops)
+                p2 = tournament_select(pop, cfg.k, ops)
+                child = crossover(p1, p2, ops, cfg.crossover_style)
+                next_pop.append(mutate(child, cfg.sigma, cfg.mu_mut, ops))
+            pop = next_pop
+            _evaluate_population(pop, cfg.seed, t, map_jobs)
+            new_best = record(t)
+            stale = stale + 1 if new_best == best else 0
+            best = new_best
+            if cfg.convergence_window is not None and \
+                    stale >= cfg.convergence_window:
+                break
+        return pop[_fittest_index(pop)].copy(), trace

@@ -135,8 +135,11 @@ def _grow(X: np.ndarray, y: np.ndarray, w: np.ndarray, k_features: int,
             continue
         k = min(k_features, usable.size)
         candidates = rng.choice(usable, size=k, replace=False)
-        spans = maxs[candidates] - mins[candidates]
-        thresholds = mins[candidates] + rng.random(k) * spans
+        lo, hi = mins[candidates], maxs[candidates]
+        thresholds = lo + rng.random(k) * (hi - lo)
+        # min + r*span can round up to max when the span is a few ulps; the
+        # right child would then be empty.  min still splits off min's rows.
+        thresholds = np.where(thresholds < hi, thresholds, lo)
         costs, masks = split_costs(idx, Xsub, candidates, thresholds)
         pick = int(costs.argmin())
         feature[node] = int(candidates[pick])

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,12 @@ def template_file(tmp_path):
     path = tmp_path / "policy.template"
     path.write_text(default_template_text(), encoding="utf-8")
     return path
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_command():
+    yield
+    assert not multiprocessing.active_children()
 
 
 def _train_sim_args(template_file, out, seed=1, extra=()):
@@ -158,3 +165,67 @@ def test_evaluate_pop_sweep(template_file, tmp_path):
     rows = (out / "pop_sweep.csv").read_text().strip().splitlines()
     assert len(rows) == 3
     assert rows[0] == "pop,train_mean,train_std,test_mean,test_std"
+
+
+def _flat_template(tmp_path):
+    flat = tmp_path / "flat.template"
+    flat.write_text(default_template_text().replace("Offer(filter=p3)",
+                                                    "Offer"), encoding="utf-8")
+    return flat
+
+
+def test_non_finite_corpus_is_parse_error(template_file, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "4"])
+    lines = corpus.read_text().splitlines()
+    head, rest = lines[2].split('"s_next": [', 1)
+    lines[2] = head + '"s_next": [NaN,' + rest.split(",", 1)[1]
+    corpus.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["train-corpus", "--template", str(_flat_template(tmp_path)),
+                 "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--seed", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "line 3" in err
+    assert "Traceback" not in err
+
+
+def _outputs_per_worker_count(monkeypatch, tmp_path, argv, names):
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("EVODIAL_WORKERS", workers)
+        out = tmp_path / f"w{workers}"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert not multiprocessing.active_children()
+        outputs.append({name: (out / name).read_bytes() for name in names})
+    return outputs
+
+
+def test_train_corpus_parallel_matches_serial(template_file, tmp_path,
+                                              monkeypatch):
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "30", "--epsilon", "0.3"])
+    serial, parallel = _outputs_per_worker_count(
+        monkeypatch, tmp_path,
+        ["train-corpus", "--template", str(_flat_template(tmp_path)),
+         "--corpus", str(corpus), "--seed", "6", "--resamples", "2",
+         "--pop", "6", "--n-mut", "1", "--k", "2", "--generations", "2",
+         "--l-max", "2", "--trees", "3"],
+        ("results.csv", "best_params.json", "policy.txt"))
+    assert serial == parallel
+
+
+def test_noise_sweep_parallel_matches_serial(template_file, tmp_path,
+                                             monkeypatch):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    serial, parallel = _outputs_per_worker_count(
+        monkeypatch, tmp_path,
+        ["evaluate", "--template", str(template_file), "--params",
+         str(params), "--seed", "4", "--episodes", "10",
+         "--noise", "0.0:0.6:0.2"],
+        ("noise_sweep.csv",))
+    assert serial == parallel

@@ -155,3 +155,28 @@ def test_plan_validation():
         ResamplePlan(split_fraction=0.0)
     with pytest.raises(ValueError):
         ResamplePlan(n_rounds=0)
+
+
+@pytest.mark.parametrize(
+    "literal", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "float-overflow", "int-overflow"])
+def test_non_finite_feature_rejected_with_line(tmp_path, literal):
+    path = _write(tmp_path, chain_corpus(3))
+    lines = path.read_text().splitlines()
+    head, rest = lines[3].split('"s": [', 1)
+    lines[3] = head + '"s": [' + literal + "," + rest.split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError) as err:
+        load_corpus(str(path))
+    assert err.value.line == 4
+
+
+def test_non_finite_header_reward_rejected(tmp_path):
+    path = _write(tmp_path, chain_corpus(2))
+    lines = path.read_text().splitlines()
+    head, rest = lines[0].split('"per_turn": ', 1)
+    lines[0] = head + '"per_turn": NaN,' + rest.split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError) as err:
+        load_corpus(str(path))
+    assert err.value.line == 1

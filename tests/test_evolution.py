@@ -1,8 +1,10 @@
 import io
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from evodial import evolution
 from evodial.evolution import (FitnessEvaluationFailure, GaConfig,
                                GenomeLengthMismatch, Individual, InvalidConfig,
                                crossover, mutate, perturb, run_ga,
@@ -216,6 +218,58 @@ def test_fitness_failure_carries_location():
         run_ga(Broken(), GaConfig(n_pop=4, n_mut=1, k=2, t_max=2, seed=5))
     assert err.value.generation == 0
     assert err.value.index == 0
+
+
+class _Recording:
+    n_params = 2
+
+    def __init__(self):
+        self.genomes = []
+
+    def evaluate(self, genome, rng):
+        self.genomes.append(genome.copy())
+        return 0.0
+
+
+class _FailsOn:
+    """Raises for one genome only."""
+
+    n_params = 2
+
+    def __init__(self, bad_genome):
+        self.bad_genome = bad_genome
+
+    def evaluate(self, genome, rng):
+        if np.array_equal(genome, self.bad_genome):
+            raise RuntimeError("boom")
+        return float(genome.sum())
+
+
+def test_parallel_fitness_failure_carries_location():
+    cfg = GaConfig(n_pop=4, n_mut=1, k=2, t_max=2, seed=5)
+    initial = _Recording()
+    run_ga(initial, GaConfig(n_pop=4, n_mut=1, k=2, t_max=0, seed=5))
+    with pytest.raises(FitnessEvaluationFailure) as err:
+        run_ga(_FailsOn(initial.genomes[2]), cfg, n_workers=2)
+    assert (err.value.generation, err.value.index) == (0, 2)
+    assert not multiprocessing.active_children()
+
+
+def test_run_ga_starts_one_pool_per_run(monkeypatch):
+    started = []
+
+    class CountingPool(evolution.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "ProcessPoolExecutor", CountingPool)
+    cfg = GaConfig(n_pop=6, n_mut=1, k=2, t_max=4, seed=3,
+                   convergence_window=None)
+    _, trace = run_ga(SphereFitness(np.array([0.2, 0.7])), cfg, n_workers=2)
+    assert len(trace.rows) == 5
+    assert len(started) == 1
+    assert not multiprocessing.active_children()
 
 
 def test_trace_csv_layout():

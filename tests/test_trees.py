@@ -92,3 +92,12 @@ def test_constant_features_become_leaf():
     y = np.arange(40, dtype=float)
     model = ExtraTreesRegressor(n_trees=5, seed=1).fit(X, y)
     assert np.allclose(model.predict(X[:4]), y.mean())
+
+
+def test_one_ulp_feature_span_splits_without_crash():
+    # min + r * span rounds up to max for most draws when the span is one ulp
+    X = [[1.0]] * 3 + [[np.nextafter(1.0, 2.0)]] * 3
+    y = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    for seed in range(50):
+        model = ExtraTreesRegressor(1, n_min=2, seed=seed).fit(X, y)
+        assert np.array_equal(model.predict(X), y)
