@@ -185,8 +185,14 @@ def group_dialogs(transitions: Sequence[Transition]) -> list[list[Transition]]:
     return dialogs
 
 
+def _states(transitions: Sequence[Transition]) -> np.ndarray:
+    if not transitions:
+        raise MalformedEpisode("corpus has no transitions")
+    return np.stack([t.s for t in transitions])
+
+
 def _corpus_arrays(transitions, feature_names, action_set, rewards):
-    S = np.stack([t.s for t in transitions])
+    S = _states(transitions)
     S_next = np.stack([t.s_next for t in transitions])
     index = {a: i for i, a in enumerate(action_set)}
     try:
@@ -253,7 +259,7 @@ def fit_action_classifier(transitions: Sequence[Transition],
     """Supervised behavior model on the observed (state, action) pairs."""
     action_set = tuple(action_set)
     index = {a: i for i, a in enumerate(action_set)}
-    X = np.stack([t.s for t in transitions])
+    X = _states(transitions)
     y = np.array([index[t.a] for t in transitions], dtype=np.int64)
     clf = ExtraTreesClassifier(cfg.trees, cfg.k_features, cfg.n_min,
                                seed=(cfg.seed, 0)).fit(X, y, len(action_set))
@@ -328,9 +334,10 @@ class CorpusFitness:
         self.states = np.asarray(self.states, dtype=np.float64)
         self._cols = variable_columns_from_features(self.states, self.feature_names)
         self._index = {a: i for i, a in enumerate(self.q.action_set)}
-        self._greedy = self.q.greedy(self.states)
+        q_mat = self.q.q_matrix(self.states)
+        self._greedy = q_mat.argmax(axis=1)  # as QModel.greedy
         if self.mode == "qval":
-            self._q_mat = self.q.q_matrix(self.states)
+            self._q_mat = q_mat
             self._p_mat = self.clf.predict_proba(self.states)
 
     @property
@@ -386,26 +393,50 @@ def policy_next_actions(policy: BatchPolicy, data: FqeData) -> np.ndarray:
     return pi_next
 
 
-def fitted_q_evaluation(data: FqeData, pi_next: np.ndarray,
-                        cfg: FittedQConfig) -> float:
-    """Off-policy value estimate: mean bootstrapped return of starting turns.
+def fitted_q_evaluation(data: FqeData, pi_nexts: Sequence[np.ndarray],
+                        cfg: FittedQConfig) -> list[float]:
+    """Off-policy value estimates of several policies on one corpus.
 
     Runs the fitted-Q iteration scheme with the action maximum replaced by
-    the evaluated policy's own choice ``pi_next`` at the successor state,
-    then averages the first-turn targets over dialogs.
+    each evaluated policy's own choice at the successor states (one array of
+    ``pi_nexts`` per policy, see ``policy_next_actions``) and returns, per
+    policy, the mean of the first-turn targets after ``cfg.l_max``
+    iterations.
+
+    Iteration ``l`` computes targets from the ensemble fitted at ``l - 1``
+    (seed ``(cfg.seed, l - 1)``) and fits only while a later iteration
+    reads the result.  The first ensemble regresses the immediate rewards,
+    which no policy changes, so it is fitted once and shared: ``P`` policies
+    cost ``1 + P * (l_max - 2)`` ensemble fits for ``l_max >= 2`` and none
+    for ``l_max == 1``, with the same values as fitting each policy alone.
     """
-    X_next_pi = np.hstack([data.S_next_open, _one_hot(pi_next, data.n_actions)])
-    term, r = data.term, data.r
-    open_rows = ~term
-    Q = np.zeros(len(r))
-    reg = None
-    for l in range(1, cfg.l_max + 1):
-        q_pi = np.zeros(len(X_next_pi)) if reg is None else reg.predict(X_next_pi)
-        Q[term] = r[term]
-        Q[open_rows] = r[open_rows] + cfg.gamma * q_pi
-        reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                  seed=(cfg.seed, l)).fit(data.X_sa, Q)
-    return float(Q[data.starts].mean())
+    r = data.r
+    open_rows = ~data.term
+
+    def targets(q_pi: np.ndarray) -> np.ndarray:
+        Q = r.copy()
+        Q[open_rows] += cfg.gamma * q_pi
+        return Q
+
+    def fit(Q: np.ndarray, l: int) -> ExtraTreesRegressor:
+        return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
+                                   seed=(cfg.seed, l)).fit(data.X_sa, Q)
+
+    Q_first = targets(np.zeros(len(data.S_next_open)))
+    if cfg.l_max == 1:
+        return [float(Q_first[data.starts].mean())] * len(pi_nexts)
+    reg_first = fit(Q_first, 1)
+    values = []
+    for pi_next in pi_nexts:
+        X_next_pi = np.hstack([data.S_next_open,
+                               _one_hot(pi_next, data.n_actions)])
+        reg = reg_first
+        for l in range(2, cfg.l_max + 1):
+            Q = targets(reg.predict(X_next_pi))
+            if l < cfg.l_max:
+                reg = fit(Q, l)
+        values.append(float(Q[data.starts].mean()))
+    return values
 
 
 def evaluate_policy_on_corpus(policy: BatchPolicy,
@@ -417,7 +448,8 @@ def evaluate_policy_on_corpus(policy: BatchPolicy,
     """Off-policy value estimate of ``policy`` on a corpus (see
     ``fitted_q_evaluation``)."""
     data = fqe_data(transitions, feature_names, action_set, rewards)
-    return fitted_q_evaluation(data, policy_next_actions(policy, data), cfg)
+    return fitted_q_evaluation(data, [policy_next_actions(policy, data)],
+                               cfg)[0]
 
 
 def template_corpus_policy(ast: TemplateAst, params,

@@ -146,10 +146,10 @@ def cmd_train_sim(args) -> int:
     return 0
 
 
-def _fqe_job(shared, job) -> float:
+def _fqe_job(shared, job) -> list[float]:
     splits, cfg = shared
-    split, pi_next = job
-    return batch_rl.fitted_q_evaluation(splits[split], pi_next, cfg)
+    split, pi_nexts = job
+    return batch_rl.fitted_q_evaluation(splits[split], pi_nexts, cfg)
 
 
 def cmd_train_corpus(args) -> int:
@@ -172,7 +172,13 @@ def cmd_train_corpus(args) -> int:
     scores = {d: {"train": [], "test": []} for d in dm_names}
     chosen = "GA-QVal" if args.fitness == "qval" else "GA-NPoints"
     best_rounds = []
+    if not transitions:
+        raise batch_rl.MalformedEpisode("corpus has no transitions")
     for r, (train, test) in enumerate(corpus_io.resample_splits(transitions, plan)):
+        if not train:  # the test side always keeps at least one dialog
+            raise batch_rl.MalformedEpisode(
+                f"resampling round {r} leaves the train split empty "
+                f"({n_dialogs} dialog{'' if n_dialogs == 1 else 's'})")
         q = batch_rl.fitted_q_iteration(train, header.feature_names,
                                         header.action_set,
                                         header.reward_config, fq_cfg)
@@ -193,13 +199,15 @@ def cmd_train_corpus(args) -> int:
         splits = [batch_rl.fqe_data(split, header.feature_names,
                                     header.action_set, header.reward_config)
                   for split in (train, test)]
-        jobs = [(i, batch_rl.policy_next_actions(policies[name], data))
-                for name in dm_names for i, data in enumerate(splits)]
-        values = iter(evolution.parallel_map(_fqe_job, jobs, _workers(),
-                                             (splits, fq_cfg)))
-        for name in dm_names:
-            for split_name in ("train", "test"):
-                scores[name][split_name].append(next(values))
+        # one job per split: its five policies share the first FQE fit
+        jobs = [(i, [batch_rl.policy_next_actions(policies[name], data)
+                     for name in dm_names])
+                for i, data in enumerate(splits)]
+        values = evolution.parallel_map(_fqe_job, jobs, _workers(),
+                                        (splits, fq_cfg))
+        for split_name, split_values in zip(("train", "test"), values):
+            for name, value in zip(dm_names, split_values):
+                scores[name][split_name].append(value)
         best_rounds.append({"round": r, "params": params_by_dm[chosen],
                             "test_score": scores[chosen]["test"][-1]})
         print(f"round {r}: {chosen} test score "

@@ -57,9 +57,10 @@ def _dedup(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     stacked = np.ascontiguousarray(np.column_stack([X, y.astype(np.float64)]))
     flat = stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
     _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    order = np.sort(first)
-    rank = {int(i): r for r, i in enumerate(order)}
-    remap = np.array([rank[int(i)] for i in first])  # sorted pos -> dense id
+    by_first = np.argsort(first)
+    order = first[by_first]
+    remap = np.empty(len(first), dtype=np.int64)  # sorted pos -> dense id
+    remap[by_first] = np.arange(len(first))
     counts = np.bincount(remap[inverse], minlength=len(order)).astype(np.float64)
     return X[order], y[order], counts
 

@@ -6,14 +6,17 @@ from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                               QValConfig, build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
                               fit_extratrees_regressor, fitness_npoints,
-                              fitness_qval, fitted_q_iteration, group_dialogs,
-                              template_actions, template_corpus_policy)
+                              fitness_qval, fitted_q_evaluation,
+                              fitted_q_iteration, fqe_data, group_dialogs,
+                              policy_next_actions, template_actions,
+                              template_corpus_policy)
 from evodial.core import RewardConfig, Transition, variables_from_features
 from evodial.dsl import (StateSchema, StructuralParamForbidden,
                          evaluate_policy, parse_template)
 from evodial.trees import ExtraTreesRegressor
 from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_REWARDS,
-                     CHAIN_STATE_VECS, chain_corpus, chain_value_iteration)
+                     CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0, EP_STALL1,
+                     chain_corpus, chain_value_iteration)
 
 FQ_FAST = FittedQConfig(l_max=25, gamma=0.9, trees=30, k_features=5, n_min=2,
                         seed=0)
@@ -330,3 +333,113 @@ def test_fitness_npoints_perfect_agreement_reaches_count():
     assert np.array_equal(q.greedy(states), np.zeros(len(states)))
     always_a0 = _syn_template("A0")
     assert fitness_npoints(always_a0, [], states, SYN_FEATURES, q) == len(states)
+
+
+# Off-policy evaluation.  The pinned values were recorded with the
+# one-policy-per-call implementation that fitted every iteration's ensemble,
+# the first one once per policy; the shared first fit must not move a bit.
+FQE_PIN_REWARDS = RewardConfig(per_turn=-1.0, correct_offer=10.0,
+                               duplicate_offer=0.0, wrong_offer=0.0, gamma=0.9)
+FQE_PIN_POLICIES = {
+    "advance": lambda X: np.zeros(len(X), dtype=np.int64),
+    "stall_s1": lambda X: (X[:, 1] > 0.5).astype(np.int64),
+}
+FQE_PINS = {
+    1: {"advance": "-0x1.0000000000000p+0", "stall_s1": "-0x1.0000000000000p+0"},
+    2: {"advance": "0x1.0b33333333333p+2", "stall_s1": "-0x1.e666666666666p+0"},
+    3: {"advance": "0x1.a2d4fdf3b645ap+2", "stall_s1": "-0x1.5ae147ae147aep+1"},
+}
+
+
+def _fqe_cfg(l_max, trees=5):
+    return FittedQConfig(l_max=l_max, gamma=0.9, trees=trees, k_features=5,
+                         n_min=2, seed=3)
+
+
+@pytest.mark.parametrize("l_max", sorted(FQE_PINS))
+def test_fqe_values_pinned_to_the_bit(l_max):
+    corpus = chain_corpus(40)
+    cfg = _fqe_cfg(l_max)
+    singles = {}
+    for name, policy in FQE_PIN_POLICIES.items():
+        singles[name] = evaluate_policy_on_corpus(
+            policy, corpus, CHAIN_FEATURES, CHAIN_ACTIONS, FQE_PIN_REWARDS, cfg)
+        assert singles[name].hex() == FQE_PINS[l_max][name], name
+    data = fqe_data(corpus, CHAIN_FEATURES, CHAIN_ACTIONS, FQE_PIN_REWARDS)
+    pi_nexts = [policy_next_actions(p, data) for p in FQE_PIN_POLICIES.values()]
+    assert fitted_q_evaluation(data, pi_nexts, cfg) == list(singles.values())
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 5])
+@pytest.mark.parametrize("n_policies", [1, 3])
+def test_fqe_fit_schedule(monkeypatch, l_max, n_policies):
+    fits = []
+    real_fit = ExtraTreesRegressor.fit
+
+    def counting_fit(self, X, y):
+        fits.append(self.seed)
+        return real_fit(self, X, y)
+
+    monkeypatch.setattr(ExtraTreesRegressor, "fit", counting_fit)
+    data = fqe_data(chain_corpus(12), CHAIN_FEATURES, CHAIN_ACTIONS,
+                    CHAIN_REWARDS)
+    rng = np.random.default_rng(l_max)
+    pi_nexts = [rng.integers(0, 2, len(data.S_next_open))
+                for _ in range(n_policies)]
+    values = fitted_q_evaluation(data, pi_nexts, _fqe_cfg(l_max, trees=2))
+    assert len(values) == n_policies
+    expected = 0 if l_max == 1 else 1 + n_policies * (l_max - 2)
+    assert len(fits) == expected
+    # the shared first ensemble comes first; no ensemble of the last
+    # iteration is ever fitted
+    assert all(seed[1] < l_max for seed in fits)
+    assert fits[:1] == ([] if l_max == 1 else [(3, 1)])
+
+
+def test_fqe_multi_policy_matches_single_policy_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    episodes = (EP_DIRECT, EP_STALL0, EP_STALL1)
+
+    @hypothesis.settings(max_examples=25, deadline=None, derandomize=True)
+    @hypothesis.given(
+        kinds=st.lists(st.sampled_from(range(len(episodes))), min_size=1,
+                       max_size=8),
+        per_turn=st.sampled_from([-1.0, 0.0, 0.5]),
+        l_max=st.integers(1, 4),
+        seed=st.integers(0, 2 ** 16),
+        draw=st.data())
+    def check(kinds, per_turn, l_max, seed, draw):
+        corpus = []
+        for i, kind in enumerate(kinds):
+            for t, (s, a, s_next) in enumerate(episodes[kind]):
+                corpus.append(Transition(i, t, s, a, s_next,
+                                         t == len(episodes[kind]) - 1))
+        rewards = RewardConfig(per_turn=per_turn, correct_offer=10.0,
+                               duplicate_offer=0.0, wrong_offer=0.0, gamma=0.9)
+        data = fqe_data(corpus, CHAIN_FEATURES, CHAIN_ACTIONS, rewards)
+        n_open = len(data.S_next_open)
+        pi_nexts = [np.array(draw.draw(st.lists(st.integers(0, 1),
+                                                min_size=n_open,
+                                                max_size=n_open)),
+                             dtype=np.int64)
+                    for _ in range(draw.draw(st.integers(1, 3)))]
+        cfg = FittedQConfig(l_max=l_max, gamma=0.9, trees=2, k_features=3,
+                            n_min=2, seed=seed)
+        values = fitted_q_evaluation(data, pi_nexts, cfg)
+        assert values == [fitted_q_evaluation(data, [p], cfg)[0]
+                          for p in pi_nexts]
+        if l_max == 1:
+            assert values == [float(data.r[data.starts].mean())] * len(pi_nexts)
+
+    check()
+
+
+def test_empty_corpus_is_malformed():
+    with pytest.raises(MalformedEpisode, match="no transitions"):
+        fqe_data([], CHAIN_FEATURES, CHAIN_ACTIONS, CHAIN_REWARDS)
+    with pytest.raises(MalformedEpisode, match="no transitions"):
+        fitted_q_iteration([], CHAIN_FEATURES, CHAIN_ACTIONS, CHAIN_REWARDS,
+                           FQ_FAST)
+    with pytest.raises(MalformedEpisode, match="no transitions"):
+        fit_action_classifier([], CHAIN_FEATURES, CHAIN_ACTIONS, FQ_FAST)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from evodial import evolution
 from evodial.cli import main
 from evodial.simulator import default_template_text
 
@@ -229,3 +230,73 @@ def test_noise_sweep_parallel_matches_serial(template_file, tmp_path,
          "--noise", "0.0:0.6:0.2"],
         ("noise_sweep.csv",))
     assert serial == parallel
+
+
+def _corpus_with_dialogs(template_file, tmp_path, n_dialogs):
+    """A make-corpus file cut down to its header and first ``n_dialogs``."""
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "3"])
+    lines = corpus.read_text().splitlines()
+    kept = [lines[0]] + [line for line in lines[1:]
+                         if json.loads(line)["dialog_id"] < n_dialogs]
+    corpus.write_text("\n".join(kept) + "\n")
+    return corpus
+
+
+@pytest.mark.parametrize("n_dialogs, message", [
+    (0, "corpus has no transitions"),
+    (1, "resampling round 0 leaves the train split empty (1 dialog)"),
+])
+def test_train_corpus_without_training_data_is_data_error(
+        template_file, tmp_path, capsys, n_dialogs, message):
+    corpus = _corpus_with_dialogs(template_file, tmp_path, n_dialogs)
+    capsys.readouterr()
+    code = main(["train-corpus", "--template", str(_flat_template(tmp_path)),
+                 "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--seed", "1", "--resamples", "1", "--l-max", "2",
+                 "--trees", "2"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_empty_corpus_is_data_error(template_file, tmp_path, capsys):
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 0)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": [0.3, 0.8, 0.5]}))
+    capsys.readouterr()
+    code = main(["evaluate", "--template", str(_flat_template(tmp_path)),
+                 "--params", str(params), "--corpus", str(corpus),
+                 "--out", str(tmp_path / "o"), "--seed", "1",
+                 "--l-max", "2", "--trees", "2"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "corpus has no transitions" in err
+    assert "Traceback" not in err
+
+
+def test_train_corpus_maps_one_fqe_job_per_split(template_file, tmp_path,
+                                                 monkeypatch):
+    jobs = []
+
+    class CountingPool(evolution.ProcessPoolExecutor):
+        def map(self, fn, *iterables, **kwargs):
+            iterables = [list(it) for it in iterables]
+            jobs.extend(iterables[0])
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(evolution, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("EVODIAL_WORKERS", "2")
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "12"])
+    code = main(["train-corpus", "--template", str(_flat_template(tmp_path)),
+                 "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--seed", "6", "--resamples", "1", "--pop", "6",
+                 "--n-mut", "1", "--k", "2", "--generations", "2",
+                 "--l-max", "3", "--trees", "2"])
+    assert code == 0
+    assert [(split, len(pi_nexts)) for split, pi_nexts in jobs] == \
+        [(0, 5), (1, 5)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evodial.trees import (EmptyTrainingSet, ExtraTreesClassifier,
-                           ExtraTreesRegressor, FeatureArityMismatch)
+                           ExtraTreesRegressor, FeatureArityMismatch, _dedup)
 
 
 def test_single_sample_predicts_constant():
@@ -28,6 +28,19 @@ def test_duplicated_dataset_gives_identical_predictions():
     doubled = ExtraTreesRegressor(n_trees=25, seed=7).fit(
         np.vstack([X, X]), np.concatenate([y, y])).predict(grid)
     assert np.array_equal(base, doubled)
+
+
+def test_dedup_matches_first_seen_loop():
+    rng = np.random.default_rng(21)
+    X = rng.integers(0, 3, (200, 2)).astype(np.float64)
+    y = rng.integers(0, 2, 200).astype(np.float64)
+    seen: dict[tuple, int] = {}
+    for row, target in zip(X, y):
+        key = (*row, target)
+        seen[key] = seen.get(key, 0) + 1
+    Xu, yu, w = _dedup(X, y)
+    assert [(*row, target) for row, target in zip(Xu, yu)] == list(seen)
+    assert w.tolist() == list(seen.values())
 
 
 def test_fit_is_deterministic_per_seed():
