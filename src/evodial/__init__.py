@@ -8,7 +8,7 @@ held-out dialogs.
 """
 from .core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, ActionDecision,
                    DialogAct, DialogState, NBestList, RewardConfig,
-                   Transition, discounted_return, featurize, feature_names,
+                   discounted_return, featurize, feature_names,
                    resolve_action, reward)
 from .dsl import (ArityMismatch, DanglingElse, MissingStateVariable,
                   StructuralParamForbidden, TemplateAst, TemplateSyntaxError,
@@ -27,7 +27,7 @@ from .batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                        evaluate_policy_on_corpus, fit_action_classifier,
                        fitted_q_iteration, fitness_npoints, fitness_qval,
                        template_corpus_policy)
-from .corpus_io import (CorpusHeader, ResamplePlan, load_corpus,
+from .corpus_io import (Corpus, CorpusHeader, ResamplePlan, load_corpus,
                         resample_splits, save_corpus)
 from .baselines import (HEURISTIC_PARAMS, DialogQEnv, LinearQConfig,
                         LinearQPolicy, rule_based_policy, train_linear_q)

@@ -17,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (FEATURE_SCHEMA_VERSION, RewardConfig, Transition,
-                   transition_reward, variable_columns_from_features)
+from .core import FEATURE_SCHEMA_VERSION, variable_columns_from_features
+from .corpus_io import Corpus
 from .dsl import StructuralParamForbidden, TemplateAst, evaluate_policy_batch
 from .trees import ExtraTreesClassifier, ExtraTreesRegressor
 
@@ -162,62 +162,19 @@ class ActionClassifier:
                    blob["schema_version"])
 
 
-def group_dialogs(transitions: Sequence[Transition]) -> list[list[Transition]]:
-    """Group transitions into dialogs, validating turn order and terminals."""
-    dialogs: list[list[Transition]] = []
-    current: list[Transition] = []
-    for t in transitions:
-        if current and t.dialog_id != current[0].dialog_id:
-            dialogs.append(current)
-            current = []
-        if current and t.turn != current[-1].turn + 1:
-            raise MalformedEpisode(
-                f"dialog {t.dialog_id}: turn {t.turn} follows {current[-1].turn}")
-        current.append(t)
-    if current:
-        dialogs.append(current)
-    for d in dialogs:
-        terminals = [t for t in d if t.terminal]
-        if len(terminals) != 1 or not d[-1].terminal:
-            raise MalformedEpisode(
-                f"dialog {d[0].dialog_id} needs exactly one terminal transition, "
-                f"at the end")
-    return dialogs
-
-
-def _states(transitions: Sequence[Transition]) -> np.ndarray:
-    if not transitions:
+def _require_transitions(corpus: Corpus) -> None:
+    if not len(corpus):
         raise MalformedEpisode("corpus has no transitions")
-    return np.stack([t.s for t in transitions])
 
 
-def _corpus_arrays(transitions, feature_names, action_set, rewards):
-    S = _states(transitions)
-    S_next = np.stack([t.s_next for t in transitions])
-    index = {a: i for i, a in enumerate(action_set)}
-    try:
-        A = np.array([index[t.a] for t in transitions], dtype=np.int64)
-    except KeyError as exc:
-        raise MalformedEpisode(f"action {exc.args[0]!r} not in the action set") from None
-    term = np.array([t.terminal for t in transitions], dtype=bool)
-    r = np.array([transition_reward(t, feature_names, rewards) for t in transitions])
-    return S, A, S_next, term, r
+def _state_actions(corpus: Corpus) -> np.ndarray:
+    """(state features, one-hot logged action) per transition."""
+    _require_transitions(corpus)
+    return np.hstack([corpus.S,
+                      _one_hot(corpus.A, len(corpus.header.action_set))])
 
 
-def fit_extratrees_regressor(samples: Sequence[tuple[np.ndarray, float]],
-                             cfg: FittedQConfig) -> ExtraTreesRegressor:
-    """Fit the Q-regressor ensemble on (feature vector, target) pairs."""
-    X = np.stack([s for s, _ in samples]) if samples else np.zeros((0, 0))
-    y = np.array([t for _, t in samples])
-    model = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min, seed=cfg.seed)
-    return model.fit(X, y)
-
-
-def fitted_q_iteration(transitions: Sequence[Transition],
-                       feature_names: Sequence[str],
-                       action_set: Sequence[str],
-                       rewards: RewardConfig,
-                       cfg: FittedQConfig,
+def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
                        iteration_hook: Callable[[int, np.ndarray], None] | None
                        = None) -> QModel:
     """Episodic fitted Q-iteration; returns the final Q-model.
@@ -228,14 +185,10 @@ def fitted_q_iteration(transitions: Sequence[Transition],
     ``iteration_hook`` (if given) receives each iteration's target array,
     e.g. for convergence monitoring.
     """
-    group_dialogs(transitions)
-    action_set = tuple(action_set)
-    S, A, S_next, term, r = _corpus_arrays(transitions, feature_names,
-                                           action_set, rewards)
-    n = len(transitions)
-    X_sa = np.hstack([S, _one_hot(A, len(action_set))])
-    S_next_open = S_next[~term]
-    Q = np.zeros(n)
+    X_sa, header = _state_actions(corpus), corpus.header
+    term, r = corpus.terminal, corpus.rewards()
+    S_next_open = corpus.S_next[~term]
+    Q = np.zeros(len(corpus))
     model: QModel | None = None
     for l in range(1, cfg.l_max + 1):
         if model is None:
@@ -248,22 +201,20 @@ def fitted_q_iteration(transitions: Sequence[Transition],
             iteration_hook(l, Q.copy())
         reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
                                   seed=(cfg.seed, l)).fit(X_sa, Q)
-        model = QModel(reg, action_set, tuple(feature_names), FEATURE_SCHEMA_VERSION)
+        model = QModel(reg, header.action_set, header.feature_names,
+                       FEATURE_SCHEMA_VERSION)
     return model
 
 
-def fit_action_classifier(transitions: Sequence[Transition],
-                          feature_names: Sequence[str],
-                          action_set: Sequence[str],
+def fit_action_classifier(corpus: Corpus,
                           cfg: FittedQConfig) -> ActionClassifier:
     """Supervised behavior model on the observed (state, action) pairs."""
-    action_set = tuple(action_set)
-    index = {a: i for i, a in enumerate(action_set)}
-    X = _states(transitions)
-    y = np.array([index[t.a] for t in transitions], dtype=np.int64)
+    _require_transitions(corpus)
+    action_set = corpus.header.action_set
     clf = ExtraTreesClassifier(cfg.trees, cfg.k_features, cfg.n_min,
-                               seed=(cfg.seed, 0)).fit(X, y, len(action_set))
-    return ActionClassifier(clf, action_set, tuple(feature_names),
+                               seed=(cfg.seed, 0)).fit(corpus.S, corpus.A,
+                                                       len(action_set))
+    return ActionClassifier(clf, action_set, corpus.header.feature_names,
                             FEATURE_SCHEMA_VERSION)
 
 
@@ -286,9 +237,8 @@ def template_actions(ast: TemplateAst, params, states: np.ndarray,
 def fitness_npoints(ast: TemplateAst, params, states: np.ndarray,
                     feature_names: Sequence[str], q: QModel) -> float:
     """Number of corpus states where the template matches the greedy policy."""
-    _forbid_structural(ast)
-    acts = template_actions(ast, params, states, feature_names, q.action_set)
-    return float(np.sum(acts == q.greedy(np.asarray(states))))
+    return CorpusFitness(ast, states, tuple(feature_names), "npoints",
+                         q).evaluate(params, None)
 
 
 def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
@@ -300,17 +250,8 @@ def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
     actions outside the corpus action set) contribute ``r_punish`` instead of
     their Q-value.
     """
-    _forbid_structural(ast)
-    states = np.asarray(states)
-    acts = template_actions(ast, params, states, feature_names, q.action_set)
-    q_mat = q.q_matrix(states)
-    p_mat = clf.predict_proba(states)
-    rows = np.arange(len(states))
-    safe = np.where(acts >= 0, acts, 0)
-    known = acts >= 0
-    vals = np.where(known & (p_mat[rows, safe] > cfg.delta),
-                    q_mat[rows, safe], cfg.r_punish)
-    return float(vals.sum())
+    return CorpusFitness(ast, states, tuple(feature_names), "qval", q, clf,
+                         cfg).evaluate(params, None)
 
 
 @dataclass
@@ -356,44 +297,18 @@ class CorpusFitness:
         return float(vals.sum())
 
 
-@dataclass(frozen=True)
-class FqeData:
-    """One corpus's arrays for off-policy evaluation, built once per corpus.
-
-    ``X_sa`` holds (state features, one-hot logged action) per transition,
-    ``S_next_open`` the successor states of the non-terminal transitions and
-    ``starts`` the row of every dialog's first turn.
-    """
-
-    X_sa: np.ndarray
-    S_next_open: np.ndarray
-    term: np.ndarray
-    r: np.ndarray
-    starts: np.ndarray
-    n_actions: int
-
-
-def fqe_data(transitions: Sequence[Transition], feature_names: Sequence[str],
-             action_set: Sequence[str], rewards: RewardConfig) -> FqeData:
-    """Validate a corpus and build its off-policy evaluation arrays."""
-    dialogs = group_dialogs(transitions)
-    S, A, S_next, term, r = _corpus_arrays(transitions, feature_names,
-                                           tuple(action_set), rewards)
-    starts = np.cumsum([0] + [len(d) for d in dialogs[:-1]], dtype=np.int64)
-    return FqeData(np.hstack([S, _one_hot(A, len(action_set))]),
-                   S_next[~term], term, r, starts, len(action_set))
-
-
-def policy_next_actions(policy: BatchPolicy, data: FqeData) -> np.ndarray:
+def policy_next_actions(policy: BatchPolicy, corpus: Corpus) -> np.ndarray:
     """The evaluated policy's action index at every open successor state."""
-    pi_next = np.asarray(policy(data.S_next_open), dtype=np.int64)
-    if len(pi_next) and (pi_next.min() < 0 or pi_next.max() >= data.n_actions):
+    pi_next = np.asarray(policy(corpus.S_next[~corpus.terminal]),
+                         dtype=np.int64)
+    if len(pi_next) and (pi_next.min() < 0 or
+                         pi_next.max() >= len(corpus.header.action_set)):
         raise MalformedEpisode("evaluated policy chose an action outside the "
                                "corpus action set")
     return pi_next
 
 
-def fitted_q_evaluation(data: FqeData, pi_nexts: Sequence[np.ndarray],
+def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
                         cfg: FittedQConfig) -> list[float]:
     """Off-policy value estimates of several policies on one corpus.
 
@@ -410,8 +325,8 @@ def fitted_q_evaluation(data: FqeData, pi_nexts: Sequence[np.ndarray],
     cost ``1 + P * (l_max - 2)`` ensemble fits for ``l_max >= 2`` and none
     for ``l_max == 1``, with the same values as fitting each policy alone.
     """
-    r = data.r
-    open_rows = ~data.term
+    X_sa, r = _state_actions(corpus), corpus.rewards()
+    open_rows = ~corpus.terminal
 
     def targets(q_pi: np.ndarray) -> np.ndarray:
         Q = r.copy()
@@ -420,36 +335,32 @@ def fitted_q_evaluation(data: FqeData, pi_nexts: Sequence[np.ndarray],
 
     def fit(Q: np.ndarray, l: int) -> ExtraTreesRegressor:
         return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                   seed=(cfg.seed, l)).fit(data.X_sa, Q)
+                                   seed=(cfg.seed, l)).fit(X_sa, Q)
 
-    Q_first = targets(np.zeros(len(data.S_next_open)))
+    S_next_open = corpus.S_next[open_rows]
+    Q_first = targets(np.zeros(len(S_next_open)))
     if cfg.l_max == 1:
-        return [float(Q_first[data.starts].mean())] * len(pi_nexts)
+        return [float(Q_first[corpus.starts].mean())] * len(pi_nexts)
     reg_first = fit(Q_first, 1)
     values = []
     for pi_next in pi_nexts:
-        X_next_pi = np.hstack([data.S_next_open,
-                               _one_hot(pi_next, data.n_actions)])
+        X_next_pi = np.hstack([S_next_open, _one_hot(
+            pi_next, len(corpus.header.action_set))])
         reg = reg_first
         for l in range(2, cfg.l_max + 1):
             Q = targets(reg.predict(X_next_pi))
             if l < cfg.l_max:
                 reg = fit(Q, l)
-        values.append(float(Q[data.starts].mean()))
+        values.append(float(Q[corpus.starts].mean()))
     return values
 
 
-def evaluate_policy_on_corpus(policy: BatchPolicy,
-                              transitions: Sequence[Transition],
-                              feature_names: Sequence[str],
-                              action_set: Sequence[str],
-                              rewards: RewardConfig,
+def evaluate_policy_on_corpus(policy: BatchPolicy, corpus: Corpus,
                               cfg: FittedQConfig) -> float:
     """Off-policy value estimate of ``policy`` on a corpus (see
     ``fitted_q_evaluation``)."""
-    data = fqe_data(transitions, feature_names, action_set, rewards)
-    return fitted_q_evaluation(data, [policy_next_actions(policy, data)],
-                               cfg)[0]
+    return fitted_q_evaluation(
+        corpus, [policy_next_actions(policy, corpus)], cfg)[0]
 
 
 def template_corpus_policy(ast: TemplateAst, params,

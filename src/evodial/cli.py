@@ -66,11 +66,26 @@ def _load_template(path: str, ablate_ids=None):
     return ast
 
 
-def _load_params(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fp:
-        obj = json.load(fp)
-    values = obj["params"] if isinstance(obj, dict) else obj
-    return np.asarray(values, dtype=np.float64)
+def _load_params(path: str | None, ast) -> np.ndarray:
+    """The template's finite parameter vector from a JSON file (a list, or an
+    object with a 'params' list); without a file, the heuristic defaults."""
+    values, source = baselines.HEURISTIC_PARAMS, "default parameters"
+    if path:
+        with open(path, encoding="utf-8") as fp:
+            obj = json.load(fp)
+        values = obj.get("params") if isinstance(obj, dict) else obj
+        source = path
+    try:
+        params = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        params = None
+    if params is None or params.ndim != 1 or not np.isfinite(params).all():
+        raise ValueError(f"{source}: parameters must be a list of finite "
+                         f"numbers, or an object with such a 'params' list")
+    if len(params) != ast.param_count:
+        raise dsl.ArityMismatch(f"{source}: template takes {ast.param_count} "
+                                f"parameters, got {len(params)}")
+    return params
 
 
 def _load_ontology(args) -> simulator.Ontology:
@@ -158,9 +173,9 @@ def cmd_train_corpus(args) -> int:
         raise dsl.StructuralParamForbidden(
             "corpus training needs a template without structural action "
             "parameters")
-    header, transitions = corpus_io.load_corpus(args.corpus)
-    n_dialogs, n_turns = corpus_io.corpus_counts(transitions)
-    print(f"corpus: {n_dialogs} dialogs, {n_turns} transitions")
+    corpus = corpus_io.load_corpus(args.corpus)
+    header, n_dialogs = corpus.header, corpus.n_dialogs
+    print(f"corpus: {n_dialogs} dialogs, {len(corpus)} transitions")
     plan = corpus_io.ResamplePlan(n_rounds=args.resamples, seed=args.seed)
     qv_cfg = batch_rl.QValConfig(delta=args.delta, r_punish=args.punish)
     fq_cfg = batch_rl.FittedQConfig(
@@ -172,23 +187,19 @@ def cmd_train_corpus(args) -> int:
     scores = {d: {"train": [], "test": []} for d in dm_names}
     chosen = "GA-QVal" if args.fitness == "qval" else "GA-NPoints"
     best_rounds = []
-    if not transitions:
+    if not len(corpus):
         raise batch_rl.MalformedEpisode("corpus has no transitions")
-    for r, (train, test) in enumerate(corpus_io.resample_splits(transitions, plan)):
-        if not train:  # the test side always keeps at least one dialog
+    for r, (train, test) in enumerate(corpus_io.resample_splits(corpus, plan)):
+        if not len(train):  # the test side always keeps at least one dialog
             raise batch_rl.MalformedEpisode(
                 f"resampling round {r} leaves the train split empty "
                 f"({n_dialogs} dialog{'' if n_dialogs == 1 else 's'})")
-        q = batch_rl.fitted_q_iteration(train, header.feature_names,
-                                        header.action_set,
-                                        header.reward_config, fq_cfg)
-        clf = batch_rl.fit_action_classifier(train, header.feature_names,
-                                             header.action_set, fq_cfg)
-        train_states = np.stack([t.s for t in train])
+        q = batch_rl.fitted_q_iteration(train, fq_cfg)
+        clf = batch_rl.fit_action_classifier(train, fq_cfg)
         policies = dict(batch_rl.build_comparison_dms(q, clf, qv_cfg))
         params_by_dm = {}
         for mode, name in (("npoints", "GA-NPoints"), ("qval", "GA-QVal")):
-            fitness = batch_rl.CorpusFitness(ast, train_states,
+            fitness = batch_rl.CorpusFitness(ast, train.S,
                                              header.feature_names, mode, q,
                                              clf, qv_cfg)
             # a corpus fitness call takes ~0.1 ms: dispatch would cost more
@@ -196,13 +207,11 @@ def cmd_train_corpus(args) -> int:
             policies[name] = batch_rl.template_corpus_policy(
                 ast, best.genome, header.feature_names, header.action_set)
             params_by_dm[name] = [float(v) for v in best.genome]
-        splits = [batch_rl.fqe_data(split, header.feature_names,
-                                    header.action_set, header.reward_config)
-                  for split in (train, test)]
+        splits = (train, test)
         # one job per split: its five policies share the first FQE fit
-        jobs = [(i, [batch_rl.policy_next_actions(policies[name], data)
+        jobs = [(i, [batch_rl.policy_next_actions(policies[name], split)
                      for name in dm_names])
-                for i, data in enumerate(splits)]
+                for i, split in enumerate(splits)]
         values = evolution.parallel_map(_fqe_job, jobs, _workers(),
                                         (splits, fq_cfg))
         for split_name, split_values in zip(("train", "test"), values):
@@ -287,17 +296,16 @@ def cmd_evaluate(args) -> int:
         return 0
     if not args.params:
         raise ValueError("--params is required unless --pop-sweep is given")
-    params = _load_params(args.params)
+    params = _load_params(args.params, ast)
     if args.corpus:
-        header, transitions = corpus_io.load_corpus(args.corpus)
+        corpus = corpus_io.load_corpus(args.corpus)
+        header = corpus.header
         cfg = batch_rl.FittedQConfig(
             l_max=args.l_max, gamma=header.reward_config.gamma,
             trees=args.trees, n_min=args.n_min, seed=args.seed)
         policy = batch_rl.template_corpus_policy(
             ast, params, header.feature_names, header.action_set)
-        score = batch_rl.evaluate_policy_on_corpus(
-            policy, transitions, header.feature_names, header.action_set,
-            header.reward_config, cfg)
+        score = batch_rl.evaluate_policy_on_corpus(policy, corpus, cfg)
         _write_csv(out / "corpus_eval.csv", ["policy", "score"],
                    [["template", score]])
         print(f"estimated starting-turn value: {score:.3f}")
@@ -308,18 +316,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_make_corpus(args) -> int:
     ast = _load_template(args.template)
-    params = _load_params(args.params) if args.params \
-        else np.asarray(baselines.HEURISTIC_PARAMS)
+    params = _load_params(args.params, ast)
     ontology = _load_ontology(args)
     rewards = CORPUS_REWARDS if args.rewards == "corpus" else SIM_REWARDS
-    header, transitions = simulator.make_synthetic_corpus(
+    corpus = simulator.make_synthetic_corpus(
         ast, params, ontology, args.episodes, args.seed, rewards,
         schedule=_parse_levels(args.noise), epsilon=args.epsilon)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    corpus_io.save_corpus(str(out), header, transitions)
-    n_dialogs, n_turns = corpus_io.corpus_counts(transitions)
-    print(f"wrote {n_dialogs} dialogs / {n_turns} transitions to {out}")
+    corpus_io.save_corpus(str(out), corpus)
+    print(f"wrote {corpus.n_dialogs} dialogs / {len(corpus)} transitions "
+          f"to {out}")
     return 0
 
 
@@ -415,7 +422,7 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (evolution.InvalidConfig, FileNotFoundError, ValueError) as exc:
+    except (evolution.InvalidConfig, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,5 +1,5 @@
-"""Shared dialog-domain types: acts, N-best lists, tracked state, transitions,
-rewards and the feature layout used by the regression components.
+"""Shared dialog-domain types: acts, N-best lists, tracked state, rewards
+and the feature layout used by the regression components.
 
 Everything here is a plain immutable value object; instances are safe to share
 across threads and fitness evaluations.
@@ -133,18 +133,6 @@ class ActionDecision:
     value: str | None = None
     offer_pairs: tuple[tuple[str, str], ...] | None = None
     clause_index: int | None = None
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One (state, action, next state) triplet of a serialized dialog."""
-
-    dialog_id: int
-    turn: int
-    s: np.ndarray
-    a: str
-    s_next: np.ndarray
-    terminal: bool
 
 
 @dataclass(frozen=True)
@@ -309,16 +297,3 @@ def variable_columns_from_features(X: np.ndarray,
     for name in _BOOL_FEATURES:
         cols[name] = X[:, idx[name]] > 0.5
     return cols
-
-
-def transition_reward(t: Transition, names: Sequence[str], cfg: RewardConfig) -> float:
-    """Reward of a serialized transition, read off the next state's offer flags."""
-    idx = {n: i for i, n in enumerate(names)}
-    r = cfg.per_turn
-    if t.s_next[idx["offer_correct"]] > 0.5:
-        r += cfg.correct_offer
-    elif t.s_next[idx["offer_duplicate"]] > 0.5:
-        r += cfg.duplicate_offer
-    elif t.s_next[idx["offer_wrong"]] > 0.5:
-        r += cfg.wrong_offer
-    return r

@@ -6,22 +6,24 @@ s, a, s_next, terminal}`` with the feature vectors as float lists.  Floats
 are written with 17 significant digits so that save(load(f)) is
 byte-identical for canonical files.  Transitions of one dialog are
 contiguous, turn numbers consecutive, and the dialog's last transition is its
-single terminal one.  Every feature and reward value is finite.
+single terminal one.  Every feature and reward value is finite.  In memory
+a corpus is one :class:`Corpus`, checked once when it is built.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import InitVar, asdict, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .core import FEATURE_SCHEMA_VERSION, RewardConfig, Transition
+from .core import (FEATURE_SCHEMA_VERSION, OFFER_CORRECT, OFFER_DUPLICATE,
+                   OFFER_WRONG, RewardConfig)
 
 
 class CorpusParseError(Exception):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"{message} (line {line})")
+    def __init__(self, message: str, line: int = 0):
+        super().__init__(f"{message} (line {line})" if line else message)
         self.line = line
 
 
@@ -31,8 +33,11 @@ class SchemaMismatch(Exception):
 
 class MissingTerminal(Exception):
     def __init__(self, dialog_id: int, message: str):
-        super().__init__(f"dialog {dialog_id}: {message}")
+        super().__init__(dialog_id, message)
         self.dialog_id = dialog_id
+
+    def __str__(self) -> str:
+        return f"dialog {self.dialog_id}: {self.args[1]}"
 
 
 @dataclass(frozen=True)
@@ -41,6 +46,106 @@ class CorpusHeader:
     feature_names: tuple[str, ...]
     action_set: tuple[str, ...]
     reward_config: RewardConfig
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A dialog corpus, one array per column and one row per transition.
+
+    ``A`` indexes ``header.action_set``; ``starts`` (derived) is the row of
+    each dialog's first turn.  Construction enforces the file format's
+    invariants (see the module docstring) and names the file line of an
+    offending row: ``lines[row]``, by default the row's line in a saved file.
+    """
+
+    header: CorpusHeader
+    S: np.ndarray
+    A: np.ndarray
+    S_next: np.ndarray
+    terminal: np.ndarray
+    dialog_id: np.ndarray
+    turn: np.ndarray
+    starts: np.ndarray = field(init=False, repr=False)
+    lines: InitVar[Sequence[int] | None] = None
+
+    def __post_init__(self, lines):
+        for name, dtype in (("S", np.float64), ("A", np.int64),
+                            ("S_next", np.float64), ("terminal", bool),
+                            ("dialog_id", np.int64), ("turn", np.int64)):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+        n, width = len(self.A), (len(self.header.feature_names),)
+        if any(len(c) != n for c in (self.S, self.S_next, self.terminal,
+                                     self.dialog_id, self.turn)):
+            raise ValueError("corpus columns differ in length")
+        if self.S.shape[1:] != width or self.S_next.shape[1:] != width:
+            raise SchemaMismatch(f"feature rows of shapes {self.S.shape[1:]}"
+                                 f" and {self.S_next.shape[1:]} do not match "
+                                 f"the header ({width[0]} features)")
+        if n and not 0 <= self.A.min() <= self.A.max() < \
+                len(self.header.action_set):
+            raise SchemaMismatch("action index outside the header's action set")
+
+        lines = np.arange(2, n + 2) if lines is None else lines
+        ids, turn, terminal = self.dialog_id, self.turn, self.terminal
+        new = np.ones(n, dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        starts = np.flatnonzero(new)
+        # a start that is not its dialog id's first one reopens that dialog
+        reopened = new.copy()
+        reopened[starts[np.unique(ids[starts], return_index=True)[1]]] = False
+        gap = np.zeros(n, dtype=bool)
+        gap[1:] = ~new[1:] & (turn[1:] != turn[:-1] + 1)
+        # a misplaced terminal at row j shows at row j + 1, a reopened
+        # dialog or a turn gap at its own row: report what a reader meets
+        # first
+        misplaced = np.flatnonzero(np.append(new[1:], True) != terminal)
+        broken = np.flatnonzero(reopened | gap)
+        if len(misplaced) and not (len(broken) and broken[0] <= misplaced[0]):
+            j = int(misplaced[0])
+            message = ("transition follows the terminal one" if terminal[j]
+                       else "dialog ended without a terminal transition")
+            raise MissingTerminal(int(ids[j]), message)
+        if len(broken):
+            i = int(broken[0])
+            raise CorpusParseError(
+                f"dialog {ids[i]} is not contiguous" if reopened[i] else
+                f"dialog {ids[i]}: turn {turn[i]} follows {turn[i - 1]}",
+                int(lines[i]))
+        # json.loads accepts NaN and Infinity, and 1e400 parses to inf
+        finite = np.isfinite(self.S).all(axis=1) & \
+            np.isfinite(self.S_next).all(axis=1)
+        if not finite.all():
+            raise CorpusParseError("non-finite feature value",
+                                   int(lines[finite.argmin()]))
+        object.__setattr__(self, "starts", starts)
+
+    def __len__(self) -> int:
+        return len(self.A)
+
+    @property
+    def n_dialogs(self) -> int:
+        return len(self.starts)
+
+    def rewards(self) -> np.ndarray:
+        """Per-row ``core.reward``, read off the offer flags of ``S_next``."""
+        names, rc = self.header.feature_names, self.header.reward_config
+        flags = [self.S_next[:, names.index(f"offer_{outcome}")] > 0.5
+                 for outcome in (OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG)]
+        return np.select(flags, [rc.per_turn + rc.correct_offer,
+                                 rc.per_turn + rc.duplicate_offer,
+                                 rc.per_turn + rc.wrong_offer], rc.per_turn)
+
+    def take_dialogs(self, indices: np.ndarray) -> "Corpus":
+        """The dialogs at ``indices`` (positions in ``starts``), in order."""
+        ends = np.append(self.starts[1:], len(self))
+        first = self.starts[indices]
+        lengths = ends[indices] - first
+        rows = np.arange(lengths.sum()) + np.repeat(
+            first - (np.cumsum(lengths) - lengths), lengths)
+        return Corpus(self.header, self.S[rows], self.A[rows],
+                      self.S_next[rows], self.terminal[rows],
+                      self.dialog_id[rows], self.turn[rows])
 
 
 @dataclass(frozen=True)
@@ -59,58 +164,37 @@ class ResamplePlan:
 def _g17(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("corpus floats must be finite")
-    return format(float(x), ".17g")
+    # "-0" would read back as the integer 0
+    return "-0.0" if x == 0 and np.signbit(x) else format(float(x), ".17g")
 
 
 def _encode(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
         return _g17(value)
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, dict):
         items = ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in value.items())
         return "{" + items + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in value) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _header_dict(header: CorpusHeader) -> dict:
-    rc = header.reward_config
-    return {
-        "schema_version": header.schema_version,
-        "feature_names": list(header.feature_names),
-        "action_set": list(header.action_set),
-        "reward_config": {
-            "per_turn": rc.per_turn,
-            "correct_offer": rc.correct_offer,
-            "duplicate_offer": rc.duplicate_offer,
-            "wrong_offer": rc.wrong_offer,
-            "gamma": rc.gamma,
-        },
-    }
-
-
-def save_corpus(path: str, header: CorpusHeader,
-                transitions: Sequence[Transition]) -> None:
-    n_features = len(header.feature_names)
+def save_corpus(path: str, corpus: Corpus) -> None:
+    actions = corpus.header.action_set
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(_encode(_header_dict(header)) + "\n")
-        for t in transitions:
-            if len(t.s) != n_features or len(t.s_next) != n_features:
-                raise SchemaMismatch(
-                    f"dialog {t.dialog_id} turn {t.turn}: feature arity "
-                    f"{len(t.s)} does not match the header ({n_features})")
-            if t.a not in header.action_set:
-                raise SchemaMismatch(
-                    f"dialog {t.dialog_id} turn {t.turn}: unknown action {t.a!r}")
-            record = {"dialog_id": int(t.dialog_id), "turn": int(t.turn),
-                      "s": t.s, "a": t.a, "s_next": t.s_next,
-                      "terminal": bool(t.terminal)}
+        fp.write(_encode(asdict(corpus.header)) + "\n")
+        for dialog_id, turn, s, a, s_next, terminal in zip(
+                corpus.dialog_id.tolist(), corpus.turn.tolist(), corpus.S,
+                corpus.A.tolist(), corpus.S_next, corpus.terminal.tolist()):
+            record = {"dialog_id": dialog_id, "turn": turn, "s": s.tolist(),
+                      "a": actions[a], "s_next": s_next.tolist(),
+                      "terminal": terminal}
             fp.write(_encode(record) + "\n")
 
 
@@ -120,9 +204,8 @@ def _parse_header(obj: dict, line: int) -> CorpusHeader:
         names = tuple(obj["feature_names"])
         actions = tuple(obj["action_set"])
         rc = obj["reward_config"]
-        rewards = RewardConfig(float(rc["per_turn"]), float(rc["correct_offer"]),
-                               float(rc["duplicate_offer"]), float(rc["wrong_offer"]),
-                               float(rc["gamma"]))
+        rewards = RewardConfig(*(float(rc[f.name])
+                                 for f in fields(RewardConfig)))
     except (KeyError, TypeError, ValueError) as exc:
         raise CorpusParseError(f"bad header: {exc}", line) from None
     if not np.isfinite(astuple(rewards)).all():
@@ -134,7 +217,7 @@ def _parse_header(obj: dict, line: int) -> CorpusHeader:
     return CorpusHeader(version, names, actions, rewards)
 
 
-def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
+def load_corpus(path: str) -> Corpus:
     """Read and validate a corpus file."""
     with open(path, encoding="utf-8") as fp:
         lines = fp.read().splitlines()
@@ -145,11 +228,8 @@ def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
     except json.JSONDecodeError as exc:
         raise CorpusParseError(f"invalid JSON: {exc.msg}", 1) from None
     header = _parse_header(header_obj, 1)
-    n_features = len(header.feature_names)
-    transitions: list[Transition] = []
-    linenos: list[int] = []
-    closed_dialogs: set[int] = set()
-    current_id: int | None = None
+    action_index = {a: i for i, a in enumerate(header.action_set)}
+    rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -158,81 +238,56 @@ def load_corpus(path: str) -> tuple[CorpusHeader, list[Transition]]:
         except json.JSONDecodeError as exc:
             raise CorpusParseError(f"invalid JSON: {exc.msg}", lineno) from None
         try:
-            t = Transition(int(obj["dialog_id"]), int(obj["turn"]),
-                           np.asarray(obj["s"], dtype=np.float64), str(obj["a"]),
-                           np.asarray(obj["s_next"], dtype=np.float64),
-                           bool(obj["terminal"]))
+            dialog_id, turn = int(obj["dialog_id"]), int(obj["turn"])
+            if max(abs(dialog_id), abs(turn)) >= 2 ** 63:
+                raise OverflowError("dialog_id or turn out of the int64 range")
+            row = (lineno, dialog_id, turn, obj["s"], str(obj["a"]),
+                   obj["s_next"], bool(obj["terminal"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CorpusParseError(f"bad transition record: {exc}", lineno) from None
-        if len(t.s) != n_features or len(t.s_next) != n_features:
-            raise SchemaMismatch(
-                f"line {lineno}: feature arity {len(t.s)} does not match the "
-                f"header ({n_features})")
-        if t.a not in header.action_set:
-            raise SchemaMismatch(f"line {lineno}: unknown action {t.a!r}")
-        if t.dialog_id != current_id:
-            if transitions and not transitions[-1].terminal:
-                raise MissingTerminal(current_id,
-                                      "dialog ended without a terminal transition")
-            if t.dialog_id in closed_dialogs:
-                raise CorpusParseError(
-                    f"dialog {t.dialog_id} is not contiguous", lineno)
-            if current_id is not None:
-                closed_dialogs.add(current_id)
-            current_id = t.dialog_id
-        else:
-            if transitions[-1].terminal:
-                raise MissingTerminal(
-                    t.dialog_id, "transition follows the terminal one")
-            if t.turn != transitions[-1].turn + 1:
-                raise CorpusParseError(
-                    f"dialog {t.dialog_id}: turn {t.turn} follows "
-                    f"{transitions[-1].turn}", lineno)
-        transitions.append(t)
-        linenos.append(lineno)
-    if transitions and not transitions[-1].terminal:
-        raise MissingTerminal(transitions[-1].dialog_id,
-                              "dialog ended without a terminal transition")
-    if transitions:
-        # json.loads accepts NaN and Infinity, and 1e400 parses to inf
-        finite = (np.isfinite(np.stack([t.s for t in transitions])).all(axis=1)
-                  & np.isfinite(np.stack([t.s_next for t in transitions]))
-                  .all(axis=1))
-        if not finite.all():
-            raise CorpusParseError("non-finite feature value",
-                                   linenos[int(finite.argmin())])
-    return header, transitions
+        if row[4] not in action_index:
+            raise SchemaMismatch(f"line {lineno}: unknown action {row[4]!r}")
+        rows.append(row)
+    linenos, ids, turns, s_rows, labels, s_next_rows, terminals = \
+        zip(*rows) if rows else [()] * 7
+    n, n_features = len(rows), len(header.feature_names)
+    # each feature column is converted once; if that fails, the first
+    # record that is not a list of n_features numbers is reported
+    try:
+        X = np.array([s_rows, s_next_rows], dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        X = None
+    if X is None or X.shape[1:] != (n, n_features):
+        for lineno, s, s_next in zip(linenos, s_rows, s_next_rows):
+            try:
+                s, s_next = (np.asarray(v, dtype=np.float64) for v in (s, s_next))
+                if s.ndim != 1 or s_next.ndim != 1:
+                    raise ValueError("feature values must be a list of numbers")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise CorpusParseError(f"bad transition record: {exc}",
+                                       lineno) from None
+            if len(s) != n_features or len(s_next) != n_features:
+                raise SchemaMismatch(
+                    f"line {lineno}: feature arity {len(s)} does not match "
+                    f"the header ({n_features})")
+    S, S_next = X.reshape(2, n, n_features)
+    return Corpus(header, S, [action_index[a] for a in labels], S_next,
+                  terminals, ids, turns, lines=linenos)
 
 
-def corpus_counts(transitions: Sequence[Transition]) -> tuple[int, int]:
-    """(dialog count, turn count) of a loaded corpus."""
-    return len({t.dialog_id for t in transitions}), len(transitions)
-
-
-def _dialog_groups(transitions: Sequence[Transition]) -> list[list[Transition]]:
-    groups: list[list[Transition]] = []
-    for t in transitions:
-        if groups and groups[-1][0].dialog_id == t.dialog_id:
-            groups[-1].append(t)
-        else:
-            groups.append([t])
-    return groups
-
-
-def resample_splits(transitions: Sequence[Transition], plan: ResamplePlan
-                    ) -> list[tuple[list[Transition], list[Transition]]]:
+def resample_splits(corpus: Corpus, plan: ResamplePlan
+                    ) -> list[tuple[Corpus, Corpus]]:
     """Independent dialog-level shuffles into disjoint (train, test) pairs.
 
     Splitting happens at dialog granularity: no dialog ever straddles the
-    two sides of a round.
+    two sides of a round, and each side lists its dialogs' rows in the
+    order of the round's permutation.
     """
-    dialogs = _dialog_groups(transitions)
     rounds = []
     for r in range(plan.n_rounds):
         rng = np.random.default_rng(np.random.SeedSequence([plan.seed, r]))
-        perm = rng.permutation(len(dialogs))
-        n_train = int(len(dialogs) * plan.split_fraction)
-        train = [t for i in perm[:n_train] for t in dialogs[i]]
-        test = [t for i in perm[n_train:] for t in dialogs[i]]
-        rounds.append((train, test))
+        perm = rng.permutation(corpus.n_dialogs)
+        n_train = int(corpus.n_dialogs * plan.split_fraction)
+        rounds.append((corpus.take_dialogs(perm[:n_train]),
+                       corpus.take_dialogs(perm[n_train:])))
     return rounds

@@ -47,33 +47,28 @@ DEFAULT_OFFER_THRESHOLD = 0.5
 
 
 class TemplateError(Exception):
-    """Base class for template language errors."""
+    """Base class for template language errors, at the 1-based source
+    ``line`` and ``column`` when known (0 otherwise)."""
 
-
-class TemplateSyntaxError(TemplateError):
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
-        self.line = line
-        self.column = column
-
-
-class UnknownIdentifier(TemplateError):
     def __init__(self, message: str, line: int = 0, column: int = 0):
         if line:
-            message = f"{message} (line {line}, column {column})"
+            where = f"line {line}, column {column}" if column else f"line {line}"
+            message = f"{message} ({where})"
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+class TemplateSyntaxError(TemplateError):
+    """Source text that the template grammar does not accept."""
+
+
+class UnknownIdentifier(TemplateError):
+    """A name the template's schema does not declare."""
 
 
 class DanglingElse(TemplateError):
     """Template does not terminate in an unconditional action."""
-
-    def __init__(self, message: str, line: int = 0):
-        if line:
-            message = f"{message} (line {line})"
-        super().__init__(message)
-        self.line = line
 
 
 class TemplateValidationError(TemplateError):

@@ -36,12 +36,14 @@ class GenomeLengthMismatch(Exception):
 
 class FitnessEvaluationFailure(Exception):
     def __init__(self, generation: int, index: int, cause: BaseException):
-        super().__init__(
-            f"fitness evaluation failed at generation {generation}, "
-            f"individual {index}: {cause!r}")
+        super().__init__(generation, index, cause)
         self.generation = generation
         self.index = index
         self.__cause__ = cause
+
+    def __str__(self) -> str:
+        return (f"fitness evaluation failed at generation {self.generation}, "
+                f"individual {self.index}: {self.args[2]!r}")
 
 
 class FitnessFunction(Protocol):

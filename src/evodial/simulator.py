@@ -20,8 +20,9 @@ import numpy as np
 from .core import (ACTIONS, DEFAULT_MAX_TURNS, FEATURE_SCHEMA_VERSION,
                    OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG,
                    ActionDecision, DialogAct, DialogState, NBestList,
-                   RewardConfig, Transition, discounted_return,
-                   feature_names, featurize, resolve_action)
+                   RewardConfig, discounted_return, feature_names,
+                   featurize, resolve_action)
+from .corpus_io import Corpus, CorpusHeader
 from .dsl import TemplateAst, evaluate_policy
 
 DEFAULT_NOISE_SCHEDULE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -32,9 +33,12 @@ Policy = Callable[[DialogState], ActionDecision]
 
 class PolicyError(Exception):
     def __init__(self, turn: int, cause: BaseException):
-        super().__init__(f"policy failed at turn {turn}: {cause!r}")
+        super().__init__(turn, cause)
         self.turn = turn
         self.__cause__ = cause
+
+    def __str__(self) -> str:
+        return f"policy failed at turn {self.turn}: {self.args[1]!r}"
 
 
 @dataclass(frozen=True)
@@ -43,18 +47,26 @@ class Ontology:
     values: dict[str, tuple[str, ...]]
 
 
+def _parse_ontology(text: str, source: str) -> Ontology:
+    data = json.loads(text)
+    slots = data.get("slots") if isinstance(data, dict) else None
+    if not isinstance(slots, dict) or not all(
+            isinstance(values, list) and values
+            and all(isinstance(v, str) for v in values)
+            for values in slots.values()):
+        raise ValueError(f'{source}: expected {{"slots": {{slot: [value, '
+                         f'...]}}}} with at least one string value per slot')
+    return Ontology(tuple(slots), {s: tuple(v) for s, v in slots.items()})
+
+
 def load_ontology(path: str) -> Ontology:
     with open(path, encoding="utf-8") as fp:
-        data = json.load(fp)
-    slots = tuple(data["slots"])
-    return Ontology(slots, {s: tuple(data["slots"][s]) for s in slots})
+        return _parse_ontology(fp.read(), path)
 
 
 def default_ontology() -> Ontology:
     text = resources.files("evodial.data").joinpath("restaurant_ontology.json").read_text()
-    data = json.loads(text)
-    slots = tuple(data["slots"])
-    return Ontology(slots, {s: tuple(data["slots"][s]) for s in slots})
+    return _parse_ontology(text, "restaurant_ontology.json")
 
 
 def default_template_text() -> str:
@@ -358,19 +370,6 @@ def run_episode(policy: Policy, env: SimulatedDialogEnv, rng: random.Random,
                               state, env.channel.cfg.error_rate)
 
 
-def episode_transitions(log: EpisodeLog, slots: Sequence[str], dialog_id: int,
-                        max_turns: int = DEFAULT_MAX_TURNS) -> list[Transition]:
-    """Featurize an episode into serialized corpus transitions."""
-    out = []
-    n = len(log.turns)
-    for j, turn in enumerate(log.turns):
-        s = featurize(turn.state, slots, max_turns)
-        nxt = log.turns[j + 1].state if j + 1 < n else log.final_state
-        out.append(Transition(dialog_id, j, s, turn.decision.act,
-                              featurize(nxt, slots, max_turns), j == n - 1))
-    return out
-
-
 def template_policy(ast: TemplateAst, params: Sequence[float]) -> Policy:
     return partial(evaluate_policy, ast, np.asarray(params, dtype=np.float64))
 
@@ -472,13 +471,12 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
                           schedule: Sequence[float] = DEFAULT_NOISE_SCHEDULE,
                           epsilon: float = 0.0, nbest_size: int = 3,
                           max_turns: int = DEFAULT_MAX_TURNS,
-                          patience: int = DEFAULT_PATIENCE):
-    """Generate a serialized corpus by running a templated behavior policy.
+                          patience: int = DEFAULT_PATIENCE) -> Corpus:
+    """Generate a corpus by running a templated behavior policy.
 
-    Returns (header, transitions) ready for corpus_io.save_corpus.
+    Each episode becomes one dialog (its index is the dialog id) whose rows
+    are the featurized states before and after every turn.
     """
-    from .corpus_io import CorpusHeader
-
     env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),
                              rewards, max_turns, patience)
     base = template_policy(ast, params)
@@ -487,14 +485,20 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
     explore_rng = random.Random(int(master.integers(0, 2 ** 62)))
     policy = exploring_policy(base, epsilon, explore_rng, ACTIONS) if epsilon > 0 \
         else base
-    transitions: list[Transition] = []
+    rows = []
     for i in range(n_episodes):
         log = run_episode(policy, env, _episode_rng(master),
                           error_rate=schedule[int(levels[i])])
-        transitions.extend(episode_transitions(log, ontology.slots, i, max_turns))
-    header = CorpusHeader(FEATURE_SCHEMA_VERSION,
-                          feature_names(ontology.slots), ACTIONS, rewards)
-    return header, transitions
+        visited = [t.state for t in log.turns] + [log.final_state]
+        states = [featurize(s, ontology.slots, max_turns) for s in visited]
+        rows += [(i, j, states[j], ACTIONS.index(t.decision.act),
+                  states[j + 1], j == len(log.turns) - 1)
+                 for j, t in enumerate(log.turns)]
+    ids, turns, S, A, S_next, terminal = zip(*rows) if rows else [()] * 6
+    names = feature_names(ontology.slots)
+    return Corpus(CorpusHeader(FEATURE_SCHEMA_VERSION, names, ACTIONS, rewards),
+                  np.reshape(S, (-1, len(names))), A,
+                  np.reshape(S_next, (-1, len(names))), terminal, ids, turns)
 
 
 def evaluate_policy_sim(policy: Policy, ontology: Ontology,

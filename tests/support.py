@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from evodial.core import RewardConfig, Transition
+from evodial.core import RewardConfig
+from evodial.corpus_io import Corpus, CorpusHeader
 from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
                          StateSchema, TemplateAst)
 
@@ -96,12 +97,24 @@ _S1 = np.array([0.0, 1.0, 0.0, 0.0, 0.0])
 _S2 = np.array([0.0, 0.0, 1.0, 0.0, 0.0])  # terminal; flag pays +10 on entry
 
 
-def _chain_episode(dialog_id: int, moves: list[tuple[np.ndarray, str, np.ndarray]]
-                   ) -> list[Transition]:
-    out = []
-    for t, (s, a, s_next) in enumerate(moves):
-        out.append(Transition(dialog_id, t, s, a, s_next, t == len(moves) - 1))
-    return out
+CHAIN_HEADER = CorpusHeader("dlg-v1", CHAIN_FEATURES, CHAIN_ACTIONS,
+                            CHAIN_REWARDS)
+
+
+def corpus_from_rows(rows, header: CorpusHeader = CHAIN_HEADER) -> Corpus:
+    """A Corpus from ``(dialog_id, turn, s, action label, s_next, terminal)``
+    rows."""
+    width = len(header.feature_names)
+    ids, turns, S, labels, S_next, terminal = zip(*rows) if rows else [()] * 6
+    return Corpus(header, np.reshape(S, (-1, width)),
+                  [header.action_set.index(a) for a in labels],
+                  np.reshape(S_next, (-1, width)), terminal, ids, turns)
+
+
+def chain_rows(dialog_id: int, moves: list[tuple[np.ndarray, str, np.ndarray]]
+               ) -> list[tuple]:
+    return [(dialog_id, t, s, a, s_next, t == len(moves) - 1)
+            for t, (s, a, s_next) in enumerate(moves)]
 
 
 EP_DIRECT = [(_S0, "advance", _S1), (_S1, "advance", _S2)]
@@ -110,13 +123,14 @@ EP_STALL1 = [(_S0, "advance", _S1), (_S1, "back", _S0), (_S0, "advance", _S1),
              (_S1, "advance", _S2)]
 
 
-def chain_corpus(n_episodes: int = 200, mixed: bool = True) -> list[Transition]:
+def chain_corpus(n_episodes: int = 200, mixed: bool = True,
+                 rewards: RewardConfig = CHAIN_REWARDS) -> Corpus:
     """Episodes of the chain MDP; mixed corpora cover every (state, action)."""
     kinds = (EP_DIRECT, EP_STALL0, EP_STALL1) if mixed else (EP_DIRECT,)
-    out: list[Transition] = []
-    for i in range(n_episodes):
-        out.extend(_chain_episode(i, kinds[i % len(kinds)]))
-    return out
+    header = CorpusHeader("dlg-v1", CHAIN_FEATURES, CHAIN_ACTIONS, rewards)
+    return corpus_from_rows([row for i in range(n_episodes)
+                             for row in chain_rows(i, kinds[i % len(kinds)])],
+                            header)
 
 
 def chain_value_iteration(gamma: float = 0.9, iters: int = 200) -> dict:

@@ -28,9 +28,9 @@ from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, NoiseConfig, SluChannel,
                                SimulationFitness, default_ontology,
                                default_template_text, evaluate_policy_sim,
                                make_synthetic_corpus, template_policy)
-from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_REWARDS,
-                     CHAIN_STATE_VECS, SphereFitness, chain_corpus,
-                     chain_value_iteration, fitted_peak, random_template)
+from support import (CHAIN_ACTIONS, CHAIN_STATE_VECS, SphereFitness,
+                     chain_corpus, chain_value_iteration, fitted_peak,
+                     random_template)
 
 ONTOLOGY = default_ontology()
 TEMPLATE = parse_template(default_template_text())
@@ -138,8 +138,7 @@ CHAIN_FQ = FittedQConfig(l_max=50, gamma=0.9, trees=50, k_features=5, n_min=2,
 def test_criterion_05_fitted_q_oracle():
     corpus = chain_corpus(200, mixed=True)
     start = time.perf_counter()
-    q = fitted_q_iteration(corpus, CHAIN_FEATURES, CHAIN_ACTIONS,
-                           CHAIN_REWARDS, CHAIN_FQ)
+    q = fitted_q_iteration(corpus, CHAIN_FQ)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
     exact = chain_value_iteration()
@@ -158,8 +157,7 @@ def test_criterion_05_fitted_q_oracle():
 def test_criterion_06_off_policy_evaluator_oracle():
     corpus = chain_corpus(200, mixed=False)  # generated by always-advance
     advance = lambda X: np.zeros(len(X), dtype=np.int64)
-    value = evaluate_policy_on_corpus(advance, corpus, CHAIN_FEATURES,
-                                      CHAIN_ACTIONS, CHAIN_REWARDS, CHAIN_FQ)
+    value = evaluate_policy_on_corpus(advance, corpus, CHAIN_FQ)
     analytic = 0.0 + 0.9 * 10.0  # discounted reward sequence [0, 10]
     assert value == pytest.approx(analytic, rel=0.05)
     _report(6, f"off-policy evaluator: starting-turn value {value:.3f} vs "
@@ -358,9 +356,10 @@ def test_criterion_11_dsl_round_trip():
 def test_criterion_12_on_corpus_pipeline():
     start = time.perf_counter()
     gen_params = (0.3, 0.8, 0.5)
-    header, transitions = make_synthetic_corpus(
+    corpus = make_synthetic_corpus(
         FLAT_TEMPLATE, gen_params, ONTOLOGY, 240, seed=99,
         rewards=CORPUS_REWARDS, epsilon=0.25)
+    header = corpus.header
     fq = FittedQConfig(l_max=12, gamma=0.9, trees=30, n_min=6, seed=0)
     fq_clf = FittedQConfig(l_max=1, gamma=0.9, trees=60, k_features=10,
                            n_min=3, seed=0)
@@ -368,13 +367,10 @@ def test_criterion_12_on_corpus_pipeline():
     qv = QValConfig(delta=0.1, r_punish=-100.0)
     plan = ResamplePlan(n_rounds=12, split_fraction=0.5, seed=5)
     accuracy, ga_scores, sl_scores = [], [], []
-    for r, (train, test) in enumerate(resample_splits(transitions, plan)):
-        q = fitted_q_iteration(train, header.feature_names, header.action_set,
-                               header.reward_config, fq)
-        clf = fit_action_classifier(train, header.feature_names,
-                                    header.action_set, fq_clf)
-        train_states = np.stack([t.s for t in train])
-        fitness = CorpusFitness(FLAT_TEMPLATE, train_states,
+    for r, (train, test) in enumerate(resample_splits(corpus, plan)):
+        q = fitted_q_iteration(train, fq)
+        clf = fit_action_classifier(train, fq_clf)
+        fitness = CorpusFitness(FLAT_TEMPLATE, train.S,
                                 header.feature_names, "qval", q, clf, qv)
         best, _ = _run_ga_tracked(
             fitness, GaConfig(n_pop=20, n_mut=3, k=3, t_max=15, seed=r,
@@ -383,16 +379,11 @@ def test_criterion_12_on_corpus_pipeline():
                                            header.feature_names,
                                            header.action_set)
         sl_policy = build_comparison_dms(q, clf, qv)["SL-Original"]
-        ga_scores.append(evaluate_policy_on_corpus(
-            ga_policy, test, header.feature_names, header.action_set,
-            header.reward_config, fq_eval))
-        sl_scores.append(evaluate_policy_on_corpus(
-            sl_policy, test, header.feature_names, header.action_set,
-            header.reward_config, fq_eval))
-        test_states = np.stack([t.s for t in test])
-        truth = template_actions(FLAT_TEMPLATE, gen_params, test_states,
+        ga_scores.append(evaluate_policy_on_corpus(ga_policy, test, fq_eval))
+        sl_scores.append(evaluate_policy_on_corpus(sl_policy, test, fq_eval))
+        truth = template_actions(FLAT_TEMPLATE, gen_params, test.S,
                                  header.feature_names, header.action_set)
-        accuracy.append(float((sl_policy(test_states) == truth).mean()))
+        accuracy.append(float((sl_policy(test.S) == truth).mean()))
     acc_mean, acc_std = float(np.mean(accuracy)), float(np.std(accuracy))
     ga_mean, ga_std = float(np.mean(ga_scores)), float(np.std(ga_scores))
     sl_mean, sl_std = float(np.mean(sl_scores)), float(np.std(sl_scores))

@@ -5,18 +5,20 @@ from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                               MalformedEpisode, ModelSchemaError, QModel,
                               QValConfig, build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
-                              fit_extratrees_regressor, fitness_npoints,
-                              fitness_qval, fitted_q_evaluation,
-                              fitted_q_iteration, fqe_data, group_dialogs,
+                              fitness_npoints, fitness_qval,
+                              fitted_q_evaluation, fitted_q_iteration,
                               policy_next_actions, template_actions,
                               template_corpus_policy)
-from evodial.core import RewardConfig, Transition, variables_from_features
+from evodial.core import RewardConfig, variables_from_features
+from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
+                               MissingTerminal, SchemaMismatch)
 from evodial.dsl import (StateSchema, StructuralParamForbidden,
                          evaluate_policy, parse_template)
 from evodial.trees import ExtraTreesRegressor
-from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_REWARDS,
-                     CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0, EP_STALL1,
-                     chain_corpus, chain_value_iteration)
+from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_HEADER,
+                     CHAIN_REWARDS, CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0,
+                     EP_STALL1, chain_corpus, chain_rows, chain_value_iteration,
+                     corpus_from_rows)
 
 FQ_FAST = FittedQConfig(l_max=25, gamma=0.9, trees=30, k_features=5, n_min=2,
                         seed=0)
@@ -52,8 +54,7 @@ def _syn_template(body):
 @pytest.fixture(scope="module")
 def chain_q():
     corpus = chain_corpus(200)
-    return fitted_q_iteration(corpus, CHAIN_FEATURES, CHAIN_ACTIONS,
-                              CHAIN_REWARDS, FQ_FAST)
+    return fitted_q_iteration(corpus, FQ_FAST)
 
 
 def test_fitted_q_matches_value_iteration(chain_q):
@@ -81,15 +82,11 @@ def test_gamma_zero_equals_immediate_reward_regression():
     corpus = chain_corpus(60)
     cfg = FittedQConfig(l_max=7, gamma=0.0, trees=10, k_features=5, n_min=2,
                         seed=3)
-    q = fitted_q_iteration(corpus, CHAIN_FEATURES, CHAIN_ACTIONS,
-                           CHAIN_REWARDS, cfg)
+    q = fitted_q_iteration(corpus, cfg)
     # an immediate-reward regressor fit with the final iteration's seed
-    from evodial.core import transition_reward
-    X = np.hstack([np.stack([t.s for t in corpus]),
-                   np.array([[1.0, 0.0] if t.a == "advance" else [0.0, 1.0]
-                             for t in corpus])])
-    r = np.array([transition_reward(t, CHAIN_FEATURES, CHAIN_REWARDS)
-                  for t in corpus])
+    X = np.hstack([corpus.S, np.array([[1.0, 0.0] if a == 0 else [0.0, 1.0]
+                                       for a in corpus.A])])
+    r = corpus.rewards()
     direct = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
                                  seed=(cfg.seed, cfg.l_max)).fit(X, r)
     grid = np.vstack([np.hstack([CHAIN_STATE_VECS["s0"], [1, 0]]),
@@ -98,30 +95,36 @@ def test_gamma_zero_equals_immediate_reward_regression():
 
 
 def test_single_turn_dialogs_regress_immediate_rewards():
-    moves = [Transition(i, 0, CHAIN_STATE_VECS["s1"], "advance",
-                        np.array([0.0, 0.0, 1.0, 0.0, 0.0]), True)
-             for i in range(40)]
-    q = fitted_q_iteration(moves, CHAIN_FEATURES, CHAIN_ACTIONS,
-                           CHAIN_REWARDS, FQ_FAST)
+    moves = corpus_from_rows([(i, 0, CHAIN_STATE_VECS["s1"], "advance",
+                               np.array([0.0, 0.0, 1.0, 0.0, 0.0]), True)
+                              for i in range(40)])
+    q = fitted_q_iteration(moves, FQ_FAST)
     pred = q.q_values(CHAIN_STATE_VECS["s1"].reshape(1, -1), np.array([0]))
     assert pred[0] == pytest.approx(10.0, abs=1e-9)
 
 
 def test_malformed_episodes_rejected():
-    good = chain_corpus(2)
-    with pytest.raises(MalformedEpisode):
-        group_dialogs([Transition(0, 0, good[0].s, "advance", good[0].s_next,
-                                  False)])
-    with pytest.raises(MalformedEpisode):
-        gap = [good[0], Transition(0, 5, good[1].s, "advance", good[1].s_next,
-                                   True)]
-        group_dialogs(gap)
-
-
-def test_fit_extratrees_regressor_single_sample():
-    model = fit_extratrees_regressor([(np.array([0.1, 0.2]), 3.0)],
-                                     FittedQConfig(trees=5, seed=0))
-    assert np.allclose(model.predict(np.random.rand(6, 2)), 3.0)
+    (t0, t1), (u0, u1) = chain_rows(0, EP_DIRECT), chain_rows(1, EP_DIRECT)
+    with pytest.raises(MissingTerminal, match="without a terminal"):
+        corpus_from_rows([t0])
+    with pytest.raises(MissingTerminal, match="dialog 0: dialog ended"):
+        corpus_from_rows([t0, u0, u1])
+    with pytest.raises(MissingTerminal, match="follows the terminal"):
+        corpus_from_rows([t0[:5] + (True,), t1])
+    with pytest.raises(CorpusParseError, match="turn 5 follows 0") as err:
+        corpus_from_rows([t0, (0, 5) + t1[2:]])
+    assert err.value.line == 3  # the row's line in a saved file
+    with pytest.raises(CorpusParseError, match="not contiguous"):
+        corpus_from_rows([t0, t1, u0, u1, (0, 0) + u0[2:4] + t1[4:]])
+    # empty feature rows of the wrong width, and action indices
+    with pytest.raises(SchemaMismatch):
+        Corpus(CHAIN_HEADER, np.zeros((0, 3)), [], np.zeros((0, 5)), [], [],
+               [])
+    with pytest.raises(SchemaMismatch):
+        Corpus(CHAIN_HEADER, np.zeros((1, 5)), [2], np.zeros((1, 5)), [True],
+               [0], [0])
+    with pytest.raises(CorpusParseError, match="non-finite"):
+        corpus_from_rows([t0[:4] + (np.full(5, np.inf), True)])
 
 
 def _fitted_models(rng, states):
@@ -251,18 +254,16 @@ def test_corpus_fitness_matches_module_functions():
 def test_eq4_zero_reward_corpus_scores_zero():
     zero_rewards = RewardConfig(per_turn=0.0, correct_offer=0.0,
                                 duplicate_offer=0.0, wrong_offer=0.0, gamma=0.9)
-    corpus = chain_corpus(30)
+    corpus = chain_corpus(30, rewards=zero_rewards)
     policy = lambda X: np.zeros(len(X), dtype=np.int64)
-    value = evaluate_policy_on_corpus(policy, corpus, CHAIN_FEATURES,
-                                      CHAIN_ACTIONS, zero_rewards, FQ_FAST)
+    value = evaluate_policy_on_corpus(policy, corpus, FQ_FAST)
     assert value == 0.0
 
 
 def test_eq4_recovers_generating_policy_value():
     corpus = chain_corpus(200, mixed=False)  # generated by always-advance
     policy = lambda X: np.zeros(len(X), dtype=np.int64)
-    value = evaluate_policy_on_corpus(policy, corpus, CHAIN_FEATURES,
-                                      CHAIN_ACTIONS, CHAIN_REWARDS, FQ_FAST)
+    value = evaluate_policy_on_corpus(policy, corpus, FQ_FAST)
     assert value == pytest.approx(9.0, rel=0.05)
 
 
@@ -270,8 +271,7 @@ def test_eq4_rejects_out_of_set_actions():
     corpus = chain_corpus(5)
     policy = lambda X: np.full(len(X), 7, dtype=np.int64)
     with pytest.raises(MalformedEpisode):
-        evaluate_policy_on_corpus(policy, corpus, CHAIN_FEATURES,
-                                  CHAIN_ACTIONS, CHAIN_REWARDS, FQ_FAST)
+        evaluate_policy_on_corpus(policy, corpus, FQ_FAST)
 
 
 def test_comparison_dms_degenerate_deltas():
@@ -290,10 +290,13 @@ def test_classifier_recovers_behavior_policy():
     rng = np.random.default_rng(17)
     states = _syn_states(rng, 600)
     behavior = (states[:, SYN_FEATURES.index("top_slu_score")] > 0.5).astype(int)
-    transitions = [Transition(i, 0, states[i], SYN_SCHEMA.actions[behavior[i]],
-                              states[i], True) for i in range(len(states))]
-    clf = fit_action_classifier(transitions, SYN_FEATURES, SYN_SCHEMA.actions,
-                                FittedQConfig(trees=40, n_min=4, seed=5))
+    header = CorpusHeader("dlg-v1", SYN_FEATURES, SYN_SCHEMA.actions,
+                          CHAIN_REWARDS)
+    n = len(states)
+    corpus = Corpus(header, states, behavior, states, np.ones(n, dtype=bool),
+                    np.arange(n), np.zeros(n))
+    clf = fit_action_classifier(corpus, FittedQConfig(trees=40, n_min=4,
+                                                      seed=5))
     test_states = _syn_states(np.random.default_rng(18), 300)
     truth = (test_states[:, SYN_FEATURES.index("top_slu_score")] > 0.5).astype(int)
     acc = float((clf.predict(test_states) == truth).mean())
@@ -358,16 +361,15 @@ def _fqe_cfg(l_max, trees=5):
 
 @pytest.mark.parametrize("l_max", sorted(FQE_PINS))
 def test_fqe_values_pinned_to_the_bit(l_max):
-    corpus = chain_corpus(40)
+    corpus = chain_corpus(40, rewards=FQE_PIN_REWARDS)
     cfg = _fqe_cfg(l_max)
     singles = {}
     for name, policy in FQE_PIN_POLICIES.items():
-        singles[name] = evaluate_policy_on_corpus(
-            policy, corpus, CHAIN_FEATURES, CHAIN_ACTIONS, FQE_PIN_REWARDS, cfg)
+        singles[name] = evaluate_policy_on_corpus(policy, corpus, cfg)
         assert singles[name].hex() == FQE_PINS[l_max][name], name
-    data = fqe_data(corpus, CHAIN_FEATURES, CHAIN_ACTIONS, FQE_PIN_REWARDS)
-    pi_nexts = [policy_next_actions(p, data) for p in FQE_PIN_POLICIES.values()]
-    assert fitted_q_evaluation(data, pi_nexts, cfg) == list(singles.values())
+    pi_nexts = [policy_next_actions(p, corpus)
+                for p in FQE_PIN_POLICIES.values()]
+    assert fitted_q_evaluation(corpus, pi_nexts, cfg) == list(singles.values())
 
 
 @pytest.mark.parametrize("l_max", [1, 2, 3, 5])
@@ -381,12 +383,11 @@ def test_fqe_fit_schedule(monkeypatch, l_max, n_policies):
         return real_fit(self, X, y)
 
     monkeypatch.setattr(ExtraTreesRegressor, "fit", counting_fit)
-    data = fqe_data(chain_corpus(12), CHAIN_FEATURES, CHAIN_ACTIONS,
-                    CHAIN_REWARDS)
+    corpus = chain_corpus(12)
     rng = np.random.default_rng(l_max)
-    pi_nexts = [rng.integers(0, 2, len(data.S_next_open))
+    pi_nexts = [rng.integers(0, 2, int((~corpus.terminal).sum()))
                 for _ in range(n_policies)]
-    values = fitted_q_evaluation(data, pi_nexts, _fqe_cfg(l_max, trees=2))
+    values = fitted_q_evaluation(corpus, pi_nexts, _fqe_cfg(l_max, trees=2))
     assert len(values) == n_policies
     expected = 0 if l_max == 1 else 1 + n_policies * (l_max - 2)
     assert len(fits) == expected
@@ -410,15 +411,13 @@ def test_fqe_multi_policy_matches_single_policy_property():
         seed=st.integers(0, 2 ** 16),
         draw=st.data())
     def check(kinds, per_turn, l_max, seed, draw):
-        corpus = []
-        for i, kind in enumerate(kinds):
-            for t, (s, a, s_next) in enumerate(episodes[kind]):
-                corpus.append(Transition(i, t, s, a, s_next,
-                                         t == len(episodes[kind]) - 1))
         rewards = RewardConfig(per_turn=per_turn, correct_offer=10.0,
                                duplicate_offer=0.0, wrong_offer=0.0, gamma=0.9)
-        data = fqe_data(corpus, CHAIN_FEATURES, CHAIN_ACTIONS, rewards)
-        n_open = len(data.S_next_open)
+        corpus = corpus_from_rows(
+            [row for i, kind in enumerate(kinds)
+             for row in chain_rows(i, episodes[kind])],
+            CorpusHeader("dlg-v1", CHAIN_FEATURES, CHAIN_ACTIONS, rewards))
+        n_open = int((~corpus.terminal).sum())
         pi_nexts = [np.array(draw.draw(st.lists(st.integers(0, 1),
                                                 min_size=n_open,
                                                 max_size=n_open)),
@@ -426,20 +425,21 @@ def test_fqe_multi_policy_matches_single_policy_property():
                     for _ in range(draw.draw(st.integers(1, 3)))]
         cfg = FittedQConfig(l_max=l_max, gamma=0.9, trees=2, k_features=3,
                             n_min=2, seed=seed)
-        values = fitted_q_evaluation(data, pi_nexts, cfg)
-        assert values == [fitted_q_evaluation(data, [p], cfg)[0]
+        values = fitted_q_evaluation(corpus, pi_nexts, cfg)
+        assert values == [fitted_q_evaluation(corpus, [p], cfg)[0]
                           for p in pi_nexts]
         if l_max == 1:
-            assert values == [float(data.r[data.starts].mean())] * len(pi_nexts)
+            first_turn = corpus.rewards()[corpus.starts]
+            assert values == [float(first_turn.mean())] * len(pi_nexts)
 
     check()
 
 
 def test_empty_corpus_is_malformed():
+    empty = corpus_from_rows([])
     with pytest.raises(MalformedEpisode, match="no transitions"):
-        fqe_data([], CHAIN_FEATURES, CHAIN_ACTIONS, CHAIN_REWARDS)
+        fitted_q_evaluation(empty, [], FQ_FAST)
     with pytest.raises(MalformedEpisode, match="no transitions"):
-        fitted_q_iteration([], CHAIN_FEATURES, CHAIN_ACTIONS, CHAIN_REWARDS,
-                           FQ_FAST)
+        fitted_q_iteration(empty, FQ_FAST)
     with pytest.raises(MalformedEpisode, match="no transitions"):
-        fit_action_classifier([], CHAIN_FEATURES, CHAIN_ACTIONS, FQ_FAST)
+        fit_action_classifier(empty, FQ_FAST)

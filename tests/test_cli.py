@@ -1,5 +1,9 @@
+import importlib
+import inspect
 import json
 import multiprocessing
+import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -300,3 +304,64 @@ def test_train_corpus_maps_one_fqe_job_per_split(template_file, tmp_path,
     assert code == 0
     assert [(split, len(pi_nexts)) for split, pi_nexts in jobs] == \
         [(0, 5), (1, 5)]
+
+
+@pytest.mark.parametrize("command, params, ontology, template, code", [
+    ("evaluate", {"x": 1}, None, "shipped", 2),
+    ("evaluate", [float("nan"), 0.8, 0.5, 0.5], None, "shipped", 2),
+    ("evaluate", [0.1, 0.2], None, "shipped", 3),
+    ("make-corpus", [0.1, 0.2], None, "shipped", 3),
+    ("make-corpus", None, None, "flat", 3),  # the 4 default parameters
+    ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slot": []}, "shipped", 2),
+    ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slots": {"food": []}}, "shipped",
+     2),
+    ("evaluate", [0.3, 0.8, 0.5, 0.5], None, "directory", 2),
+], ids=["params-object-without-list", "params-nan", "params-too-short",
+        "make-corpus-params-too-short", "make-corpus-default-params",
+        "ontology-without-slots", "ontology-slot-without-values",
+        "template-is-a-directory"])
+def test_bad_input_files_exit_without_traceback(
+        template_file, tmp_path, capsys, monkeypatch, command, params,
+        ontology, template, code):
+    monkeypatch.setenv("EVODIAL_WORKERS", "2")
+    templates = {"shipped": template_file, "flat": _flat_template(tmp_path),
+                 "directory": tmp_path}
+    argv = [command, "--template", str(templates[template]), "--out",
+            str(tmp_path / "out"), "--seed", "1", "--noise", "0.1",
+            "--episodes", "2"]
+    for flag, obj in (("--params", params), ("--ontology", ontology)):
+        if obj is not None:
+            path = tmp_path / f"{flag[2:]}.json"
+            path.write_text(json.dumps(obj))
+            argv += [flag, str(path)]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_every_exception_survives_pickling():
+    # a worker's exception reaches the parent pickled; one that cannot be
+    # rebuilt breaks the pool instead of reporting the error
+    import evodial
+    samples = {"str": "bad input", "int": 3, "BaseException": ValueError("x")}
+    classes = {obj for info in pkgutil.iter_modules(evodial.__path__)
+               for obj in vars(importlib.import_module(
+                   f"evodial.{info.name}")).values()
+               if inspect.isclass(obj) and issubclass(obj, Exception)
+               and obj.__module__.startswith("evodial")}
+    assert {"PolicyError", "FitnessEvaluationFailure", "CorpusParseError",
+            "MissingTerminal", "TemplateSyntaxError"} <= \
+        {cls.__name__ for cls in classes}
+    for cls in classes:
+        if cls.__init__ is Exception.__init__:
+            exc = cls("bad input")
+        else:
+            exc = cls(*(samples[p.annotation] for p in
+                        inspect.signature(cls).parameters.values()))
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+        assert repr(back.__cause__) == repr(exc.__cause__)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from evodial.core import (CORPUS_REWARDS, SIM_REWARDS, DialogAct, DialogState,
-                          NBestList, RewardConfig, Transition,
+from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, DialogAct,
+                          DialogState, NBestList, RewardConfig,
                           discounted_return, feature_names, featurize,
-                          resolve_action, reward, transition_reward,
+                          resolve_action, reward,
                           variable_columns_from_features,
                           variables_from_features)
+from evodial.corpus_io import Corpus, CorpusHeader
 
 SLOTS = ("food", "area", "pricerange", "name")
 
@@ -116,11 +117,18 @@ def test_variable_columns_match_rowwise():
 
 def test_transition_reward_matches_state_reward():
     before = _state(turn_index=3)
-    after = _state(turn_index=4, last_offer_outcome="duplicate")
-    t = Transition(0, 3, featurize(before, SLOTS), "Offer",
-                   featurize(after, SLOTS), False)
-    assert transition_reward(t, feature_names(SLOTS), CORPUS_REWARDS) == \
-        reward(before, "Offer", after, CORPUS_REWARDS)
+    outcomes = (None, "correct", "duplicate", "wrong")
+    afters = [_state(turn_index=4, last_offer_outcome=o) for o in outcomes]
+    S_next = np.stack([featurize(after, SLOTS) for after in afters])
+    n = len(afters)
+    for cfg in (CORPUS_REWARDS, SIM_REWARDS,
+                RewardConfig(-0.0, 0.0, 0.0, 0.0, 0.9)):
+        header = CorpusHeader("dlg-v1", feature_names(SLOTS), ACTIONS, cfg)
+        rewards = Corpus(header, S_next, np.full(n, ACTIONS.index("Offer")),
+                         S_next, np.ones(n, dtype=bool), np.arange(n),
+                         np.zeros(n)).rewards()
+        expected = [reward(before, "Offer", after, cfg) for after in afters]
+        assert [r.hex() for r in rewards] == [r.hex() for r in expected]
 
 
 def test_resolve_request_prefers_denied_slot():
