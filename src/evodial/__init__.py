@@ -17,11 +17,11 @@ from .dsl import (ArityMismatch, DanglingElse, MissingStateVariable,
 from .evolution import (FitnessEvaluationFailure, GaConfig, GenerationTrace,
                         Individual, InvalidConfig, crossover, mutate, perturb,
                         run_ga, tournament_select)
-from .simulator import (NoiseConfig, Ontology, SimulatedDialogEnv,
-                        SimulationFitness, SluChannel, default_ontology,
-                        default_template_text, fitness_simulation,
-                        load_ontology, make_synthetic_corpus, run_episode,
-                        template_policy)
+from .simulator import (HEURISTIC_PARAMS, NoiseConfig, Ontology,
+                        SimulatedDialogEnv, SimulationFitness, SluChannel,
+                        default_ontology, default_template_text,
+                        fitness_simulation, load_ontology,
+                        make_synthetic_corpus, run_episode, template_policy)
 from .batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                        QModel, QValConfig, build_comparison_dms,
                        evaluate_policy_on_corpus, fit_action_classifier,
@@ -29,7 +29,5 @@ from .batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                        template_corpus_policy)
 from .corpus_io import (Corpus, CorpusHeader, ResamplePlan, load_corpus,
                         resample_splits, save_corpus)
-from .baselines import (HEURISTIC_PARAMS, DialogQEnv, LinearQConfig,
-                        LinearQPolicy, rule_based_policy, train_linear_q)
 
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import baselines, batch_rl, corpus_io, dsl, evolution, simulator
+from . import batch_rl, corpus_io, dsl, evolution, simulator
 from .core import CORPUS_REWARDS, SIM_REWARDS
 
 EXIT_CONFIG = 2
@@ -28,15 +28,22 @@ EXIT_NUMERIC = 5
 _PARSE_ERRORS = (dsl.TemplateError, corpus_io.CorpusParseError)
 _DATA_ERRORS = (corpus_io.SchemaMismatch, corpus_io.MissingTerminal,
                 batch_rl.MalformedEpisode, batch_rl.ModelSchemaError)
-_NUMERIC_ERRORS = (baselines.DivergenceDetected, evolution.FitnessEvaluationFailure)
+_NUMERIC_ERRORS = (evolution.FitnessEvaluationFailure,)
 
 
 def _workers() -> int:
     return max(1, int(os.environ.get("EVODIAL_WORKERS", "1")))
 
 
+def _noise_level(x: float) -> float:
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"noise level {x} lies outside [0, 1]")
+    return x
+
+
 def _parse_levels(text: str) -> tuple[float, ...]:
-    """Noise levels, either 'a,b,c' or 'lo:hi:step' (inclusive endpoints)."""
+    """Noise levels in [0, 1], either 'a,b,c' or 'lo:hi:step' (inclusive
+    endpoints); at least one."""
     if ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
         if step <= 0:
@@ -44,10 +51,13 @@ def _parse_levels(text: str) -> tuple[float, ...]:
         levels = []
         x = lo
         while x <= hi + 1e-9:
-            levels.append(round(x, 10))
+            levels.append(_noise_level(round(x, 10)))
             x += step
-        return tuple(levels)
-    return tuple(float(x) for x in text.split(","))
+    else:
+        levels = [_noise_level(float(x)) for x in text.split(",")]
+    if not levels:
+        raise ValueError(f"noise schedule {text!r} holds no level")
+    return tuple(levels)
 
 
 def _parse_ablate(text: str) -> list[int]:
@@ -69,7 +79,7 @@ def _load_template(path: str, ablate_ids=None):
 def _load_params(path: str | None, ast) -> np.ndarray:
     """The template's finite parameter vector from a JSON file (a list, or an
     object with a 'params' list); without a file, the heuristic defaults."""
-    values, source = baselines.HEURISTIC_PARAMS, "default parameters"
+    values, source = simulator.HEURISTIC_PARAMS, "default parameters"
     if path:
         with open(path, encoding="utf-8") as fp:
             obj = json.load(fp)

@@ -257,31 +257,16 @@ def _schema_slots(names: Sequence[str]) -> list[str]:
     return [n[len("second_"):] for n in names if n.startswith("second_")]
 
 
-def variables_from_features(vec: np.ndarray, names: Sequence[str]) -> dict[str, float | bool]:
-    """Reconstruct the template-visible state variables from a feature vector.
+def variable_columns_from_features(X: np.ndarray,
+                                   names: Sequence[str]) -> dict[str, np.ndarray]:
+    """The template-visible state variables of a state matrix, one column
+    each.
 
     Inverse of :func:`featurize` restricted to the variables the policy DSL
     can see; used when evaluating templates on serialized corpus states.
+    :meth:`DialogState.variables` gives the same values for one tracked
+    state.
     """
-    idx = {n: i for i, n in enumerate(names)}
-    slots = _schema_slots(names)
-    tops = [float(vec[idx[f"top_{s}"]]) for s in slots]
-    n = len(slots) or 1
-    out: dict[str, float | bool] = {
-        "top_slu_score": float(vec[idx["top_slu_score"]]),
-        "min_slot_score": min(tops) if tops else 0.0,
-        "max_slot_score": max(tops) if tops else 0.0,
-        "filled_frac": float(vec[idx["filled_count"]]) / n,
-        "turn_frac": float(vec[idx["turn_frac"]]),
-    }
-    for name in _BOOL_FEATURES:
-        out[name] = bool(vec[idx[name]] > 0.5)
-    return out
-
-
-def variable_columns_from_features(X: np.ndarray,
-                                   names: Sequence[str]) -> dict[str, np.ndarray]:
-    """Column-wise variant of :func:`variables_from_features` for a state matrix."""
     idx = {n: i for i, n in enumerate(names)}
     slots = _schema_slots(names)
     tops = np.stack([X[:, idx[f"top_{s}"]] for s in slots], axis=1) if slots \

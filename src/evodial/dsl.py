@@ -454,37 +454,38 @@ def pretty_print(ast: TemplateAst, include_schema: bool = True) -> str:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-def _eval_cond(node: CondExpr, variables: Mapping[str, float | bool],
-               params: np.ndarray) -> bool:
+def _eval_cond(node: CondExpr, variables: Mapping, params: Sequence[float]):
+    """Truth of a condition on one state or on a batch of states.
+
+    ``variables`` maps names to scalars (one state; the result is a bool) or
+    to equal-length arrays (a batch; the result is a bool array).  Boolean
+    variables must already hold bools, since ``and``/``or`` are ``&``/``|``.
+    """
+    if isinstance(node, LogicNode):
+        left = _eval_cond(node.left, variables, params)
+        right = _eval_cond(node.right, variables, params)
+        return (left & right) if node.op == "and" else (left | right)
+    name = node.name if isinstance(node, BoolVar) else node.var
+    try:
+        value = variables[name]
+    except KeyError:
+        raise MissingStateVariable(f"state has no variable {name!r}") from None
     if isinstance(node, BoolVar):
-        try:
-            return bool(variables[node.name])
-        except KeyError:
-            raise MissingStateVariable(f"state has no variable {node.name!r}") from None
-    if isinstance(node, Comparison):
-        try:
-            value = float(variables[node.var])
-        except KeyError:
-            raise MissingStateVariable(f"state has no variable {node.var!r}") from None
-        p = float(params[node.param])
-        if node.op == "<":
-            return value < p
-        if node.op == ">":
-            return value > p
-        return abs(value - p) <= EQ_TOLERANCE
-    if node.op == "and":
-        return _eval_cond(node.left, variables, params) and \
-            _eval_cond(node.right, variables, params)
-    return _eval_cond(node.left, variables, params) or \
-        _eval_cond(node.right, variables, params)
+        return value
+    p = params[node.param]
+    if node.op == "<":
+        return value < p
+    if node.op == ">":
+        return value > p
+    return abs(value - p) <= EQ_TOLERANCE
 
 
-def _check_arity(ast: TemplateAst, params: Sequence[float]) -> np.ndarray:
+def _check_arity(ast: TemplateAst, params: Sequence[float]) -> list[float]:
     vec = np.asarray(params, dtype=np.float64)
     if vec.ndim != 1 or len(vec) != ast.param_count:
         raise ArityMismatch(
             f"template takes {ast.param_count} parameters, got {len(np.atleast_1d(vec))}")
-    return vec
+    return vec.tolist()
 
 
 def evaluate_policy(ast: TemplateAst, params: Sequence[float],
@@ -492,50 +493,31 @@ def evaluate_policy(ast: TemplateAst, params: Sequence[float],
     """First-match evaluation of a template against a dialog state.
 
     ``state`` may be a DialogState (decisions come back with resolved slot and
-    offer structure) or a plain mapping of state variables (label and clause
-    index only).
+    offer structure) or a plain mapping of state variables, whose values are
+    read as ``bool`` (any truthy value sets a boolean variable) or ``float``
+    (label and clause index only).
     """
-    vec = _check_arity(ast, params)
+    values = _check_arity(ast, params)
     if isinstance(state, DialogState):
         variables = state.variables()
     else:
-        variables = state
+        kinds = dict.fromkeys(ast.schema.bool_vars, bool) | \
+            dict.fromkeys(ast.schema.num_vars, float)
+        variables = {k: kinds[k](v) if k in kinds else v for k, v in state.items()}
     for i, clause in enumerate(ast.clauses):
-        if clause.condition is not None and not _eval_cond(clause.condition, variables, vec):
+        if clause.condition is not None and \
+                not _eval_cond(clause.condition, variables, values):
             continue
         spec = clause.action
         if isinstance(state, DialogState):
             threshold = DEFAULT_OFFER_THRESHOLD
             for key, ref in spec.structural_params:
                 if key == "filter":
-                    threshold = float(vec[ref])
+                    threshold = values[ref]
             return resolve_action(spec.act, state, offer_threshold=threshold,
                                   clause_index=i)
         return ActionDecision(spec.act, clause_index=i)
     raise AssertionError("unreachable: final clause is unconditional")
-
-
-def _eval_cond_batch(node: CondExpr, columns: Mapping[str, np.ndarray],
-                     params: np.ndarray) -> np.ndarray:
-    if isinstance(node, BoolVar):
-        try:
-            return np.asarray(columns[node.name], dtype=bool)
-        except KeyError:
-            raise MissingStateVariable(f"states have no variable {node.name!r}") from None
-    if isinstance(node, Comparison):
-        try:
-            col = columns[node.var]
-        except KeyError:
-            raise MissingStateVariable(f"states have no variable {node.var!r}") from None
-        p = float(params[node.param])
-        if node.op == "<":
-            return col < p
-        if node.op == ">":
-            return col > p
-        return np.abs(col - p) <= EQ_TOLERANCE
-    left = _eval_cond_batch(node.left, columns, params)
-    right = _eval_cond_batch(node.right, columns, params)
-    return (left & right) if node.op == "and" else (left | right)
 
 
 def evaluate_policy_batch(ast: TemplateAst, params: Sequence[float],
@@ -547,7 +529,9 @@ def evaluate_policy_batch(ast: TemplateAst, params: Sequence[float],
     ``action_index`` maps action labels to output codes (labels missing from
     it are coded -1).  Returns one action code per state.
     """
-    vec = _check_arity(ast, params)
+    values = _check_arity(ast, params)
+    columns = {**columns, **{name: np.asarray(columns[name], dtype=bool)
+                             for name in ast.schema.bool_vars if name in columns}}
     n = len(next(iter(columns.values())))
     out = np.full(n, -1, dtype=np.int64)
     undecided = np.ones(n, dtype=bool)
@@ -555,7 +539,7 @@ def evaluate_policy_batch(ast: TemplateAst, params: Sequence[float],
         if clause.condition is None:
             fired = undecided
         else:
-            fired = undecided & _eval_cond_batch(clause.condition, columns, vec)
+            fired = undecided & _eval_cond(clause.condition, columns, values)
         out[fired] = action_index.get(clause.action.act, -1)
         undecided = undecided & ~fired
         if not undecided.any():

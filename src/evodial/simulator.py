@@ -73,6 +73,11 @@ def default_template_text() -> str:
     return resources.files("evodial.data").joinpath("restaurant.policy").read_text()
 
 
+# Reasonable but untuned values for the default template's p0..p3; the foil
+# the optimized policies beat.
+HEURISTIC_PARAMS = (0.3, 0.8, 0.5, 0.5)
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """SLU channel parameters.
@@ -378,6 +383,11 @@ def _episode_rng(master: np.random.Generator) -> random.Random:
     return random.Random(int(master.integers(0, 2 ** 62)))
 
 
+def _check_episodes(n_episodes: int) -> None:
+    if n_episodes < 1:
+        raise ValueError(f"the number of episodes must be >= 1, got {n_episodes}")
+
+
 @dataclass
 class SimulationFitness:
     """Mean discounted episode return, the online fitness function.
@@ -395,6 +405,9 @@ class SimulationFitness:
     nbest_size: int = 3
     max_turns: int = DEFAULT_MAX_TURNS
     patience: int = DEFAULT_PATIENCE
+
+    def __post_init__(self):
+        _check_episodes(self.n_episodes)
 
     @property
     def n_params(self) -> int:
@@ -419,8 +432,6 @@ def fitness_simulation(ast: TemplateAst, params: Sequence[float],
                        rewards: RewardConfig, seed: int,
                        ontology: Ontology | None = None, **env_kwargs) -> float:
     """One-shot simulation fitness for a bound template (Eq. 1 style mean)."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
     fitness = SimulationFitness(ast, ontology or default_ontology(), rewards,
                                 n_episodes=n_episodes,
                                 schedule=tuple(noise_schedule), **env_kwargs)
@@ -477,6 +488,8 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
     Each episode becomes one dialog (its index is the dialog id) whose rows
     are the featurized states before and after every turn.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"exploration rate epsilon must lie in [0, 1], got {epsilon}")
     env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),
                              rewards, max_turns, patience)
     base = template_policy(ast, params)
@@ -511,6 +524,7 @@ def evaluate_policy_sim(policy: Policy, ontology: Ontology,
     """Test a policy over seeded episodes; fixed ``error_rate`` overrides the
     mixed-noise schedule.  Identical seeds yield identical episode streams,
     which pairs the comparison when two policies are tested with one seed."""
+    _check_episodes(n_episodes)
     env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),
                              rewards, max_turns, patience)
     master = np.random.default_rng(np.random.SeedSequence([seed]))

@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from evodial.core import RewardConfig
+from evodial.core import _BOOL_FEATURES, RewardConfig, _schema_slots
 from evodial.corpus_io import Corpus, CorpusHeader
 from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
                          StateSchema, TemplateAst)
@@ -60,8 +61,9 @@ def random_action(rng: random.Random, schema: StateSchema, pool: _ParamPool,
     return ActionSpec(label)
 
 
-def random_template(rng: random.Random, structural: bool = True) -> TemplateAst:
-    schema = random_schema(rng)
+def random_template(rng: random.Random, structural: bool = True,
+                    schema: StateSchema | None = None) -> TemplateAst:
+    schema = schema or random_schema(rng)
     pool = _ParamPool()
     clauses = [
         Clause(random_condition(rng, schema, pool),
@@ -80,6 +82,32 @@ def random_state_columns(rng: np.random.Generator, schema: StateSchema,
     for name in schema.num_vars:
         cols[name] = rng.random(n)
     return cols
+
+
+# ---------------------------------------------------------------------------
+# Row-wise state variables: the oracle of the column-wise derivation
+# ---------------------------------------------------------------------------
+
+def variables_from_features(vec: np.ndarray, names: Sequence[str]) -> dict[str, float | bool]:
+    """Reconstruct the template-visible state variables from a feature vector.
+
+    Inverse of :func:`featurize` restricted to the variables the policy DSL
+    can see; used when evaluating templates on serialized corpus states.
+    """
+    idx = {n: i for i, n in enumerate(names)}
+    slots = _schema_slots(names)
+    tops = [float(vec[idx[f"top_{s}"]]) for s in slots]
+    n = len(slots) or 1
+    out: dict[str, float | bool] = {
+        "top_slu_score": float(vec[idx["top_slu_score"]]),
+        "min_slot_score": min(tops) if tops else 0.0,
+        "max_slot_score": max(tops) if tops else 0.0,
+        "filled_frac": float(vec[idx["filled_count"]]) / n,
+        "turn_frac": float(vec[idx["turn_frac"]]),
+    }
+    for name in _BOOL_FEATURES:
+        out[name] = bool(vec[idx[name]] > 0.5)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,25 +12,25 @@ import numpy as np
 import pytest
 
 import evodial
-from evodial.baselines import HEURISTIC_PARAMS
 from evodial.batch_rl import (CorpusFitness, FittedQConfig, QValConfig,
                               build_comparison_dms, evaluate_policy_on_corpus,
                               fit_action_classifier, fitness_npoints,
                               fitness_qval, fitted_q_iteration,
                               template_actions, template_corpus_policy)
-from evodial.core import CORPUS_REWARDS, SIM_REWARDS, variables_from_features
+from evodial.core import CORPUS_REWARDS, SIM_REWARDS
 from evodial.corpus_io import ResamplePlan, resample_splits
 from evodial.dsl import (DanglingElse, StateSchema, TemplateSyntaxError,
                          TemplateValidationError, UnknownIdentifier,
                          evaluate_policy, parse_template, pretty_print)
 from evodial.evolution import GaConfig, perturb, run_ga, tournament_select, Individual
-from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, NoiseConfig, SluChannel,
-                               SimulationFitness, default_ontology,
-                               default_template_text, evaluate_policy_sim,
-                               make_synthetic_corpus, template_policy)
+from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, HEURISTIC_PARAMS,
+                               NoiseConfig, SimulationFitness, SluChannel,
+                               default_ontology, default_template_text,
+                               evaluate_policy_sim, make_synthetic_corpus,
+                               template_policy)
 from support import (CHAIN_ACTIONS, CHAIN_STATE_VECS, SphereFitness,
                      chain_corpus, chain_value_iteration, fitted_peak,
-                     random_template)
+                     random_template, variables_from_features)
 
 ONTOLOGY = default_ontology()
 TEMPLATE = parse_template(default_template_text())

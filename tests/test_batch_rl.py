@@ -9,7 +9,7 @@ from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                               fitted_q_evaluation, fitted_q_iteration,
                               policy_next_actions, template_actions,
                               template_corpus_policy)
-from evodial.core import RewardConfig, variables_from_features
+from evodial.core import RewardConfig
 from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
                                MissingTerminal, SchemaMismatch)
 from evodial.dsl import (StateSchema, StructuralParamForbidden,
@@ -18,7 +18,7 @@ from evodial.trees import ExtraTreesRegressor
 from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_HEADER,
                      CHAIN_REWARDS, CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0,
                      EP_STALL1, chain_corpus, chain_rows, chain_value_iteration,
-                     corpus_from_rows)
+                     corpus_from_rows, variables_from_features)
 
 FQ_FAST = FittedQConfig(l_max=25, gamma=0.9, trees=30, k_features=5, n_min=2,
                         seed=0)

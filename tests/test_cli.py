@@ -365,3 +365,48 @@ def test_every_exception_survives_pickling():
         assert str(back) == str(exc)
         assert vars(back) == vars(exc)
         assert repr(back.__cause__) == repr(exc.__cause__)
+
+
+_SMALL_RUN = {
+    "train-sim": ["--pop", "4", "--n-mut", "1", "--k", "2", "--generations",
+                  "1", "--episodes", "1", "--noise", "0.1"],
+    "evaluate": ["--episodes", "2", "--noise", "0.1"],
+    "pop-sweep": ["--pop-sweep", "2", "--repeats", "1", "--n-mut", "1", "--k",
+                  "2", "--generations", "1", "--episodes", "1",
+                  "--test-episodes", "2", "--noise", "0.1"],
+    "make-corpus": ["--episodes", "2", "--noise", "0.1"],
+}
+
+
+@pytest.mark.parametrize("run, flags, topic", [
+    ("train-sim", ["--noise", "0.2:0.1:0.1"], "noise"),
+    ("evaluate", ["--noise", "0.2:0.1:0.1"], "noise"),
+    ("make-corpus", ["--noise", "0.2:0.1:0.1"], "noise"),
+    ("train-sim", ["--noise", "0.0,1.5"], "noise"),
+    ("make-corpus", ["--noise", "-0.1"], "noise"),
+    ("train-sim", ["--episodes", "0"], "episodes"),
+    ("evaluate", ["--episodes", "0"], "episodes"),
+    ("pop-sweep", ["--test-episodes", "0"], "episodes"),
+    ("make-corpus", ["--epsilon", "1.5"], "epsilon"),
+    ("make-corpus", ["--epsilon", "-0.5"], "epsilon"),
+], ids=["train-sim-empty-noise", "evaluate-empty-noise",
+        "make-corpus-empty-noise", "train-sim-noise-above-1",
+        "make-corpus-noise-below-0", "train-sim-zero-episodes",
+        "evaluate-zero-episodes", "pop-sweep-zero-test-episodes",
+        "make-corpus-epsilon-above-1", "make-corpus-epsilon-below-0"])
+def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
+                                     monkeypatch, run, flags, topic):
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    command = "evaluate" if run == "pop-sweep" else run
+    argv = [command, "--template", str(template_file), "--out",
+            str(tmp_path / "out"), "--seed", "1", *_SMALL_RUN[run], *flags]
+    if run == "evaluate":
+        argv += ["--params", str(params)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert topic in err
+    assert "Traceback" not in err

@@ -5,9 +5,9 @@ from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, DialogAct,
                           DialogState, NBestList, RewardConfig,
                           discounted_return, feature_names, featurize,
                           resolve_action, reward,
-                          variable_columns_from_features,
-                          variables_from_features)
+                          variable_columns_from_features)
 from evodial.corpus_io import Corpus, CorpusHeader
+from support import variables_from_features
 
 SLOTS = ("food", "area", "pricerange", "name")
 

@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from evodial.core import DialogState
+from evodial.core import (ACTIONS, DialogState, feature_names, featurize,
+                          variable_columns_from_features)
 from evodial.dsl import (ArityMismatch, BoolVar, Clause, Comparison,
                          DanglingElse, LogicNode, MissingStateVariable,
                          StateSchema, TemplateSyntaxError,
@@ -151,11 +152,18 @@ def test_first_match_wins():
     decision = evaluate_policy(ast, [], {"a": True})
     assert decision.act == "X"
     assert decision.clause_index == 0
+    # a plain mapping sets a boolean variable with any truthy value
+    assert evaluate_policy(ast, [], {"a": 1}).clause_index == 0
+    both = parse_template("if a and b then X else Welcome", SCHEMA)
+    assert evaluate_policy(both, [], {"a": 1, "b": 2}).act == "X"
 
 
 def test_terminal_fires_when_nothing_matches():
     ast = parse_template("if a then X else Welcome", SCHEMA)
     assert evaluate_policy(ast, [], {"a": False}).act == "Welcome"
+    assert evaluate_policy(ast, [], {"a": 0.0}).act == "Welcome"
+    either = parse_template("if a or b then X else Welcome", SCHEMA)
+    assert evaluate_policy(either, [], {"a": 0.0, "b": 0}).act == "Welcome"
 
 
 def test_comparison_semantics():
@@ -234,6 +242,51 @@ def test_batch_matches_scalar_evaluation():
         for i in range(64):
             state = {k: v[i] for k, v in cols.items()}
             assert index[evaluate_policy(ast, params, state).act] == batch[i]
+
+
+def test_drivers_and_derivations_agree_on_dialog_states_property(
+        restaurant_ast, ontology):
+    # evaluate_policy on a DialogState reads DialogState.variables();
+    # evaluate_policy_batch on its feature row reads the column derivation
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = feature_names(ontology.slots)
+    index = {a: i for i, a in enumerate(ACTIONS)}
+    full_schema = StateSchema(
+        ("dialog_begin", "slu_empty", "slot_denied", "require_more_pending"),
+        ("top_slu_score", "min_slot_score", "max_slot_score", "filled_frac",
+         "turn_frac"), ACTIONS)
+    score = st.floats(0.0, 1.0)
+    states = st.builds(
+        DialogState,
+        slot_beliefs=st.fixed_dictionaries({
+            slot: st.dictionaries(st.sampled_from(ontology.values[slot]),
+                                  score, max_size=3)
+            for slot in ontology.slots}),
+        top_slu_score=score, slu_empty=st.booleans(),
+        last_denied_slot=st.none() | st.sampled_from(ontology.slots),
+        require_more_issued=st.booleans(), turn_index=st.integers(0, 40))
+
+    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True)
+    @hypothesis.given(state=states, template_seed=st.integers(-1, 2 ** 16),
+                      draw=st.data())
+    def check(state, template_seed, draw):
+        ast = restaurant_ast if template_seed < 0 else random_template(
+            random.Random(template_seed), schema=full_schema)
+        # thresholds equal to the state's own values exercise == and the
+        # strict comparisons at their boundary
+        own = [v for v in state.variables().values()
+               if not isinstance(v, bool)]
+        params = [draw.draw(score | st.sampled_from(own))
+                  for _ in range(ast.param_count)]
+        decision = evaluate_policy(ast, params, state)
+        cols = variable_columns_from_features(
+            featurize(state, ontology.slots)[None, :], names)
+        assert {k: v[0] for k, v in cols.items()} == state.variables()
+        assert evaluate_policy_batch(ast, params, cols, index).tolist() == \
+            [index[decision.act]]
+
+    check()
 
 
 def test_determinism_of_evaluation():
