@@ -62,6 +62,8 @@ class QValConfig:
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError("delta must lie in [0, 1]")
+        if not np.isfinite(self.r_punish):
+            raise ValueError("r_punish must be finite")
 
 
 def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:

@@ -269,6 +269,10 @@ def _noise_sweep(args, ast, params, ontology, out: Path) -> None:
 
 def _pop_sweep(args, ast, ontology, out: Path) -> None:
     pops = [int(x) for x in args.pop_sweep.split(",")]
+    for flag, value in (("--repeats", args.repeats),
+                        ("--test-episodes", args.test_episodes)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     rows = []
     for pop in pops:
         train_scores, test_scores = [], []

@@ -6,7 +6,7 @@ across threads and fitness evaluations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -48,12 +48,13 @@ class NBestList:
     hypotheses: tuple[DialogAct, ...] = ()
 
     def __post_init__(self):
-        confs = [h.confidence for h in self.hypotheses]
-        if any(c is None for c in confs):
-            raise ValueError("every N-best hypothesis needs a confidence")
-        for a, b in zip(confs, confs[1:]):
-            if b > a:
+        prev = None
+        for h in self.hypotheses:
+            if h.confidence is None:
+                raise ValueError("every N-best hypothesis needs a confidence")
+            if prev is not None and h.confidence > prev:
                 raise ValueError("N-best confidences must be non-increasing")
+            prev = h.confidence
 
     @property
     def is_empty(self) -> bool:
@@ -82,21 +83,19 @@ class DialogState:
     offered_results: frozenset = frozenset()
     last_offer_outcome: str | None = None
     turn_index: int = 0
+    # slot -> highest-scoring (value, score), None for an empty slot; fixed
+    # here because a state's belief dicts are never mutated once it is built
+    tops: dict[str, tuple[str, float] | None] = field(
+        init=False, repr=False, compare=False)
 
-    @property
-    def slots(self) -> tuple[str, ...]:
-        return tuple(self.slot_beliefs)
-
-    def top_hypothesis(self, slot: str) -> tuple[str, float] | None:
-        """Highest-scoring (value, score) for a slot, or None if empty."""
-        beliefs = self.slot_beliefs[slot]
-        if not beliefs:
-            return None
-        value = max(beliefs, key=lambda v: (beliefs[v], v))
-        return value, beliefs[value]
+    def __post_init__(self):
+        # max over (score, value) pairs: score ties go to the larger value
+        object.__setattr__(self, "tops", {
+            slot: max(zip(beliefs.values(), beliefs))[::-1] if beliefs else None
+            for slot, beliefs in self.slot_beliefs.items()})
 
     def top_score(self, slot: str) -> float:
-        top = self.top_hypothesis(slot)
+        top = self.tops[slot]
         return top[1] if top else 0.0
 
     def second_score(self, slot: str) -> float:
@@ -105,7 +104,7 @@ class DialogState:
 
     def variables(self, max_turns: int = DEFAULT_MAX_TURNS) -> dict[str, float | bool]:
         """Named state variables available to policy templates."""
-        tops = [self.top_score(s) for s in self.slot_beliefs]
+        tops = [top[1] if top else 0.0 for top in self.tops.values()]
         n = len(tops) or 1
         return {
             "dialog_begin": self.turn_index == 0,
@@ -192,17 +191,16 @@ def resolve_action(act: str, state: DialogState,
     if act in ("Request", "ExplicitConf"):
         slot = state.last_denied_slot
         if slot is None:
-            slot = min(state.slot_beliefs, key=lambda s: (state.top_score(s),
-                                                          state.slots.index(s)))
+            # min keeps the first of equal scores, in slot order
+            slot = min(state.slot_beliefs, key=state.top_score)
         value = None
         if act == "ExplicitConf":
-            top = state.top_hypothesis(slot)
+            top = state.tops[slot]
             value = top[0] if top else None
         return ActionDecision(act, slot=slot, value=value, clause_index=clause_index)
     if act == "Offer":
         pairs = []
-        for slot in state.slot_beliefs:
-            top = state.top_hypothesis(slot)
+        for slot, top in state.tops.items():
             if top and top[1] > offer_threshold:
                 pairs.append((slot, top[0]))
         return ActionDecision(act, offer_pairs=tuple(pairs), clause_index=clause_index)

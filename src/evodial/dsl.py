@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from functools import partial
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -497,7 +498,18 @@ def evaluate_policy(ast: TemplateAst, params: Sequence[float],
     read as ``bool`` (any truthy value sets a boolean variable) or ``float``
     (label and clause index only).
     """
-    values = _check_arity(ast, params)
+    return _first_match(ast, _check_arity(ast, params), state)
+
+
+def template_policy(ast: TemplateAst, params: Sequence[float]
+                    ) -> Callable[[DialogState], ActionDecision]:
+    """``evaluate_policy`` with the parameters bound, checked once here
+    rather than on every call."""
+    return partial(_first_match, ast, _check_arity(ast, params))
+
+
+def _first_match(ast: TemplateAst, values: list[float],
+                 state: DialogState | Mapping[str, float | bool]) -> ActionDecision:
     if isinstance(state, DialogState):
         variables = state.variables()
     else:

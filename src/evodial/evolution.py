@@ -96,8 +96,8 @@ class GaConfig:
             raise InvalidConfig("need n_mut + 1 <= n_pop")
         if not 1 <= self.k <= self.n_pop:
             raise InvalidConfig("need 1 <= k <= n_pop")
-        if self.sigma <= 0:
-            raise InvalidConfig("sigma must be positive")
+        if not 0 < self.sigma < np.inf:
+            raise InvalidConfig("sigma must be positive and finite")
         if not 0.0 <= self.mu_mut <= 1.0:
             raise InvalidConfig("mu_mut must lie in [0, 1]")
         if self.t_max < 0:

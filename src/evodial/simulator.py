@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from functools import partial
 from importlib import resources
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +23,8 @@ from .core import (ACTIONS, DEFAULT_MAX_TURNS, FEATURE_SCHEMA_VERSION,
                    RewardConfig, discounted_return, feature_names,
                    featurize, resolve_action)
 from .corpus_io import Corpus, CorpusHeader
-from .dsl import TemplateAst, evaluate_policy
+# evaluate_policy stays importable from here: perfbench's tracer patches it
+from .dsl import TemplateAst, evaluate_policy, template_policy
 
 DEFAULT_NOISE_SCHEDULE = (0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 DEFAULT_PATIENCE = 3
@@ -108,52 +109,61 @@ class SluChannel:
     def __init__(self, ontology: Ontology, cfg: NoiseConfig):
         self.ontology = ontology
         self.cfg = cfg
+        # (slot, value) -> the slot's other values in ontology order, built
+        # on first use
+        self._pools: dict[tuple[str, str], list[str]] = {}
 
-    def _confidence(self, correct: bool, rng: random.Random) -> float:
-        a, b = self.cfg.correct_conf if correct else self.cfg.incorrect_conf
-        return rng.betavariate(a, b)
-
-    def _replace_value(self, act: DialogAct, rng: random.Random) -> DialogAct | None:
-        if not act.slot_values:
+    def _replace_value(self, slot_values: tuple[tuple[str, str], ...],
+                       rng: random.Random) -> tuple[tuple[str, str], ...] | None:
+        """``slot_values`` with one value swapped for a confusable one."""
+        if not slot_values:
             return None
-        i = rng.randrange(len(act.slot_values))
-        slot, value = act.slot_values[i]
-        pool = [v for v in self.ontology.values.get(slot, ()) if v != value]
+        i = rng.randrange(len(slot_values))
+        slot, value = slot_values[i]
+        pool = self._pools.get((slot, value))
+        if pool is None:
+            pool = self._pools[slot, value] = [
+                v for v in self.ontology.values.get(slot, ()) if v != value]
         if not pool:
             return None
-        swapped = list(act.slot_values)
+        swapped = list(slot_values)
         swapped[i] = (slot, rng.choice(pool))
-        return DialogAct(act.act, tuple(swapped))
+        return tuple(swapped)
 
     def corrupt(self, act: DialogAct, rng: random.Random) -> NBestList:
         """Corrupt a true user act into an N-best list.
 
         With probability ``error_rate`` the top hypothesis is wrong: either
         one value is replaced by a confusable one, or the act is deleted
-        outright and the turn yields no SLU result at all.
+        outright and the turn yields no SLU result at all.  Every hypothesis
+        keeps the act's label, so its content alone tells it apart.
         """
-        if rng.random() < self.cfg.error_rate:
+        cfg = self.cfg
+        truth = act.slot_values
+        if rng.random() < cfg.error_rate:
             top = None
-            if act.slot_values and rng.random() < 0.5:
-                top = self._replace_value(act, rng)
+            if truth and rng.random() < 0.5:
+                top = self._replace_value(truth, rng)
             if top is None:
                 return NBestList(())
         else:
-            top = act
-        top_conf = self._confidence(top.same_semantics(act), rng)
-        hyps = [DialogAct(top.act, top.slot_values, top_conf)]
-        seen = {(top.act, top.slot_values)}
-        attempts = 0
-        while len(hyps) < self.cfg.nbest_size and attempts < 4 * self.cfg.nbest_size:
-            attempts += 1
-            cand = act if rng.random() < 0.4 else self._replace_value(act, rng)
-            if cand is None or (cand.act, cand.slot_values) in seen:
+            top = truth
+        top_conf = rng.betavariate(*(cfg.correct_conf if top == truth
+                                     else cfg.incorrect_conf))
+        hyps = [DialogAct(act.act, top, top_conf)]
+        seen = {top}
+        for _ in range(4 * cfg.nbest_size):
+            if len(hyps) >= cfg.nbest_size:
+                break
+            cand = truth if rng.random() < 0.4 else self._replace_value(truth, rng)
+            if cand is None or cand in seen:
                 continue
-            seen.add((cand.act, cand.slot_values))
-            conf = self._confidence(cand.same_semantics(act), rng) * top_conf
-            hyps.append(DialogAct(cand.act, cand.slot_values, conf))
-        tail = sorted(hyps[1:], key=lambda h: -h.confidence)
-        return NBestList(tuple([hyps[0]] + tail))
+            seen.add(cand)
+            conf = rng.betavariate(*(cfg.correct_conf if cand == truth
+                                     else cfg.incorrect_conf)) * top_conf
+            hyps.append(DialogAct(act.act, cand, conf))
+        hyps[1:] = sorted(hyps[1:], key=attrgetter("confidence"), reverse=True)
+        return NBestList(tuple(hyps))
 
 
 @dataclass
@@ -237,12 +247,14 @@ class BeliefTracker:
     def update(self, state: DialogState, decision: ActionDecision,
                nbest: NBestList, offer_outcome: str | None = None,
                offered_id: tuple | None = None) -> DialogState:
-        beliefs = {s: dict(v) for s, v in state.slot_beliefs.items()}
+        # belief dicts are shared with ``state`` until first written, then
+        # copied: a built state's dicts are never mutated
+        beliefs = dict(state.slot_beliefs)
         denied = None
         top = nbest.top
         if decision.act == "ExplicitConf" and decision.slot is not None and top is not None:
             if top.act == "affirm" and decision.value is not None:
-                beliefs[decision.slot][decision.value] = 1.0
+                beliefs[decision.slot] = {**beliefs[decision.slot], decision.value: 1.0}
             elif top.act == "deny":
                 beliefs[decision.slot] = {}
                 denied = decision.slot
@@ -251,6 +263,8 @@ class BeliefTracker:
                 continue
             for slot, value in hyp.slot_values:
                 if slot in beliefs and hyp.confidence > beliefs[slot].get(value, 0.0):
+                    if beliefs[slot] is state.slot_beliefs.get(slot):
+                        beliefs[slot] = dict(beliefs[slot])
                     beliefs[slot][value] = hyp.confidence
         offered = state.offered_results
         if offered_id is not None:
@@ -300,13 +314,13 @@ class SimulatedDialogEnv:
         self.max_turns = max_turns
         self.patience = patience
         self.tracker = BeliefTracker(ontology)
+        self.channel = SluChannel(ontology, noise)
         self.state: DialogState | None = None
 
     def reset(self, rng: random.Random,
               error_rate: float | None = None) -> DialogState:
-        cfg = self.noise if error_rate is None else replace(self.noise,
-                                                            error_rate=error_rate)
-        self.channel = SluChannel(self.ontology, cfg)
+        self.channel.cfg = self.noise if error_rate is None else \
+            replace(self.noise, error_rate=error_rate)
         self.goal = sample_goal(self.ontology, rng)
         self.user = AgendaUser(self.goal, rng)
         self.rng = rng
@@ -373,10 +387,6 @@ def run_episode(policy: Policy, env: SimulatedDialogEnv, rng: random.Random,
             return EpisodeLog(turns, info["outcome"],
                               discounted_return(rewards, env.rewards.gamma),
                               state, env.channel.cfg.error_rate)
-
-
-def template_policy(ast: TemplateAst, params: Sequence[float]) -> Policy:
-    return partial(evaluate_policy, ast, np.asarray(params, dtype=np.float64))
 
 
 def _episode_rng(master: np.random.Generator) -> random.Random:
@@ -488,6 +498,7 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
     Each episode becomes one dialog (its index is the dialog id) whose rows
     are the featurized states before and after every turn.
     """
+    _check_episodes(n_episodes)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"exploration rate epsilon must lie in [0, 1], got {epsilon}")
     env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),

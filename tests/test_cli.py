@@ -375,7 +375,12 @@ _SMALL_RUN = {
                   "2", "--generations", "1", "--episodes", "1",
                   "--test-episodes", "2", "--noise", "0.1"],
     "make-corpus": ["--episodes", "2", "--noise", "0.1"],
+    "train-corpus": ["--resamples", "1", "--l-max", "2", "--trees", "2"],
 }
+
+
+def _no_ga(*args, **kwargs):
+    raise AssertionError("a GA ran before the flags were checked")
 
 
 @pytest.mark.parametrize("run, flags, topic", [
@@ -389,16 +394,30 @@ _SMALL_RUN = {
     ("pop-sweep", ["--test-episodes", "0"], "episodes"),
     ("make-corpus", ["--epsilon", "1.5"], "epsilon"),
     ("make-corpus", ["--epsilon", "-0.5"], "epsilon"),
+    ("train-sim", ["--sigma", "nan"], "sigma"),
+    ("train-sim", ["--sigma", "inf"], "sigma"),
+    ("train-corpus", ["--punish", "nan"], "punish"),
+    ("make-corpus", ["--episodes", "0"], "episodes"),
+    ("pop-sweep", ["--repeats", "0"], "repeats"),
 ], ids=["train-sim-empty-noise", "evaluate-empty-noise",
         "make-corpus-empty-noise", "train-sim-noise-above-1",
         "make-corpus-noise-below-0", "train-sim-zero-episodes",
         "evaluate-zero-episodes", "pop-sweep-zero-test-episodes",
-        "make-corpus-epsilon-above-1", "make-corpus-epsilon-below-0"])
+        "make-corpus-epsilon-above-1", "make-corpus-epsilon-below-0",
+        "train-sim-nan-sigma", "train-sim-inf-sigma",
+        "train-corpus-nan-punish", "make-corpus-zero-episodes",
+        "pop-sweep-zero-repeats"])
 def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
                                      monkeypatch, run, flags, topic):
     monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
     params = tmp_path / "params.json"
     params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    if run == "pop-sweep":
+        monkeypatch.setattr(evolution, "run_ga", _no_ga)
+    if run == "train-corpus":
+        corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+        template_file = _flat_template(tmp_path)
+        flags = ["--corpus", str(corpus), *flags]
     command = "evaluate" if run == "pop-sweep" else run
     argv = [command, "--template", str(template_file), "--out",
             str(tmp_path / "out"), "--seed", "1", *_SMALL_RUN[run], *flags]

@@ -78,6 +78,8 @@ def test_nbest_requires_ordered_confidences():
     b = DialogAct("inform", (("food", "korean"),), 0.7)
     with pytest.raises(ValueError):
         NBestList((a, b))
+    with pytest.raises(ValueError, match="needs a confidence"):
+        NBestList((b, DialogAct("inform", (("food", "thai"),))))
     assert NBestList((b, a)).top is b
     assert NBestList(()).is_empty
 

@@ -1,11 +1,14 @@
+import copy
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
 from evodial.core import (SIM_REWARDS, ActionDecision, DialogAct,
-                          discounted_return)
-from evodial.simulator import (AgendaUser, BeliefTracker, NoiseConfig,
+                          DialogState, NBestList, discounted_return)
+from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
+                               NoiseConfig,
                                PolicyError, SimulatedDialogEnv,
                                SimulationFitness, SluChannel,
                                evaluate_policy_sim, exploring_policy,
@@ -262,3 +265,98 @@ def test_exploring_policy_mixes_actions(ontology, restaurant_ast):
     acts = {explore(state).act for _ in range(50)}
     assert acts <= {"Repeat", "Welcome"}
     assert len(acts) == 2
+
+
+def _beliefs(state):
+    return [(slot, sorted((v, s.hex()) for v, s in beliefs.items()))
+            for slot, beliefs in state.slot_beliefs.items()]
+
+
+def _turn_trace_digest(ast, ontology, params, error_rate, n_episodes=40):
+    """sha256 over every turn of seeded episodes: the belief dicts, the
+    decision, the user act, the N-best list and the reward, floats in hex."""
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), SIM_REWARDS)
+    policy = template_policy(ast, params)
+    digest = hashlib.sha256()
+    for seed in range(n_episodes):
+        log = run_episode(policy, env, random.Random(seed),
+                          error_rate=error_rate)
+        for t in log.turns:
+            nbest = [(h.act, h.slot_values, h.confidence.hex())
+                     for h in t.nbest.hypotheses]
+            digest.update(repr((_beliefs(t.state), t.state.top_slu_score.hex(),
+                                t.decision, t.user_act, nbest,
+                                t.reward.hex())).encode())
+        digest.update(repr((_beliefs(log.final_state), log.outcome,
+                            log.discounted_reward.hex())).encode())
+    return digest.hexdigest()
+
+
+# Any change to the order or arguments of the simulator's random.Random
+# calls, or to what a turn computes from them, changes these digests.
+_TURN_TRACES = {
+    (HEURISTIC_PARAMS, 0.0):
+        "a4cbcd35ca6a9cc1794586586fade52bfaf615b0b6ee50396044bbc236129466",
+    (HEURISTIC_PARAMS, 0.3):
+        "3c63561c735f89cb825a821563afab10cfe30988d68fbfb096cfd6c49ac55506",
+    (HEURISTIC_PARAMS, 0.6):
+        "b974d30a96dbfe6ceb96509ac42505dd468f9af7597d4f33f90a8912314c8785",
+    ((0.1, 0.95, 0.25, 0.3), 0.0):
+        "5c88a3ff2807d0007f4364768ddac060855895e980275a85d77243463d561593",
+    ((0.1, 0.95, 0.25, 0.3), 0.3):
+        "463c5d2a2b329134ff70f23046f7637fc83761a4e48dff70ff5a25aa81081b64",
+    ((0.1, 0.95, 0.25, 0.3), 0.6):
+        "d60fbc6c5cfecf4a4715369c4de0e1e675f15d781ae007624a53d8e21ed56cc4",
+}
+
+
+@pytest.mark.parametrize("params, error_rate", list(_TURN_TRACES), ids=[
+    f"{'heuristic' if p == HEURISTIC_PARAMS else 'confirming'}-{rate}"
+    for p, rate in _TURN_TRACES])
+def test_turn_trace_is_pinned(ontology, restaurant_ast, params, error_rate):
+    assert _turn_trace_digest(restaurant_ast, ontology, params, error_rate) \
+        == _TURN_TRACES[params, error_rate]
+
+
+def test_state_tops_and_tracker_update_property(ontology):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # few distinct scores, so ties between values are common
+    score = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+    beliefs = st.fixed_dictionaries({
+        slot: st.dictionaries(st.sampled_from(ontology.values[slot]), score,
+                              max_size=4)
+        for slot in ontology.slots})
+    pairs = st.tuples(st.sampled_from(ontology.slots), st.text(max_size=3)) | \
+        st.sampled_from([(s, v) for s in ontology.slots
+                         for v in ontology.values[s]])
+    hyp = st.builds(DialogAct, st.sampled_from(["inform", "affirm", "deny"]),
+                    st.lists(pairs, max_size=2).map(tuple), score)
+    nbests = st.lists(hyp, max_size=3).map(
+        lambda hs: NBestList(tuple(sorted(hs, key=lambda h: -h.confidence))))
+    decisions = st.builds(ActionDecision,
+                          st.sampled_from(["ExplicitConf", "Request", "Offer"]),
+                          slot=st.sampled_from(ontology.slots),
+                          value=st.none() | st.sampled_from(ontology.values["food"]))
+
+    def top(b):
+        value = max(b, key=lambda v: (b[v], v))
+        return value, b[value]
+
+    def tops_from_scratch(state):
+        return {slot: top(b) if b else None
+                for slot, b in state.slot_beliefs.items()}
+
+    tracker = BeliefTracker(ontology)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(beliefs=beliefs, decision=decisions, nbest=nbests)
+    def check(beliefs, decision, nbest):
+        state = DialogState(slot_beliefs=beliefs)
+        assert state.tops == tops_from_scratch(state)
+        before = copy.deepcopy(state.slot_beliefs)
+        after = tracker.update(state, decision, nbest)
+        assert state.slot_beliefs == before
+        assert after.tops == tops_from_scratch(after)
+
+    check()
