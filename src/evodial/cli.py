@@ -178,6 +178,11 @@ def _fqe_job(shared, job) -> list[float]:
 
 
 def cmd_train_corpus(args) -> int:
+    # check the flags that need no corpus before reading it
+    ga_cfg = _ga_config(args)
+    ga_cfg.validate()
+    qv_cfg = batch_rl.QValConfig(delta=args.delta, r_punish=args.punish)
+    plan = corpus_io.ResamplePlan(n_rounds=args.resamples, seed=args.seed)
     ast = _load_template(args.template)
     if ast.has_structural_params:
         raise dsl.StructuralParamForbidden(
@@ -186,8 +191,6 @@ def cmd_train_corpus(args) -> int:
     corpus = corpus_io.load_corpus(args.corpus)
     header, n_dialogs = corpus.header, corpus.n_dialogs
     print(f"corpus: {n_dialogs} dialogs, {len(corpus)} transitions")
-    plan = corpus_io.ResamplePlan(n_rounds=args.resamples, seed=args.seed)
-    qv_cfg = batch_rl.QValConfig(delta=args.delta, r_punish=args.punish)
     fq_cfg = batch_rl.FittedQConfig(
         l_max=args.l_max, gamma=header.reward_config.gamma, trees=args.trees,
         n_min=args.n_min, seed=args.seed)
@@ -213,7 +216,7 @@ def cmd_train_corpus(args) -> int:
                                              header.feature_names, mode, q,
                                              clf, qv_cfg)
             # a corpus fitness call takes ~0.1 ms: dispatch would cost more
-            best, _ = evolution.run_ga(fitness, _ga_config(args), n_workers=1)
+            best, _ = evolution.run_ga(fitness, ga_cfg, n_workers=1)
             policies[name] = batch_rl.template_corpus_policy(
                 ast, best.genome, header.feature_names, header.action_set)
             params_by_dm[name] = [float(v) for v in best.genome]

@@ -12,7 +12,7 @@ a corpus is one :class:`Corpus`, checked once when it is built.
 from __future__ import annotations
 
 import json
-from dataclasses import InitVar, asdict, astuple, dataclass, field, fields
+from dataclasses import InitVar, astuple, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -168,34 +168,35 @@ def _g17(x: float) -> str:
     return "-0.0" if x == 0 and np.signbit(x) else format(float(x), ".17g")
 
 
-def _encode(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return _g17(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_encode(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def save_corpus(path: str, corpus: Corpus) -> None:
-    actions = corpus.header.action_set
+    """Write ``corpus`` in the file format of the module docstring.
+
+    Every value is checked and formatted before ``path`` is opened, so a
+    failed save leaves an existing file as it was.
+    """
+    header, n = corpus.header, len(corpus)
+    rewards = ", ".join(f"{json.dumps(f.name)}: "
+                        f"{_g17(getattr(header.reward_config, f.name))}"
+                        for f in fields(RewardConfig))
+    parts = [f'{{"schema_version": {json.dumps(header.schema_version)}, '
+             f'"feature_names": {json.dumps(list(header.feature_names))}, '
+             f'"action_set": {json.dumps(list(header.action_set))}, '
+             f'"reward_config": {{{rewards}}}}}\n']
+    # each distinct bit pattern (-0.0 is not 0.0) is checked and formatted once
+    X = np.concatenate([corpus.S, corpus.S_next])
+    bits, inverse = np.unique(X.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array([_g17(x) for x in bits.view(np.float64).tolist()],
+                     dtype=object)
+    rows = [", ".join(row) for row in texts[inverse].reshape(X.shape).tolist()]
+    labels = [json.dumps(a) for a in header.action_set]
+    record = ('{{"dialog_id": {}, "turn": {}, "s": [{}], "a": {}, '
+              '"s_next": [{}], "terminal": {}}}\n')
+    parts += map(record.format, corpus.dialog_id.tolist(),
+                 corpus.turn.tolist(), rows[:n],
+                 [labels[a] for a in corpus.A.tolist()], rows[n:],
+                 ["true" if t else "false" for t in corpus.terminal.tolist()])
     with open(path, "w", encoding="utf-8", newline="\n") as fp:
-        fp.write(_encode(asdict(corpus.header)) + "\n")
-        for dialog_id, turn, s, a, s_next, terminal in zip(
-                corpus.dialog_id.tolist(), corpus.turn.tolist(), corpus.S,
-                corpus.A.tolist(), corpus.S_next, corpus.terminal.tolist()):
-            record = {"dialog_id": dialog_id, "turn": turn, "s": s.tolist(),
-                      "a": actions[a], "s_next": s_next.tolist(),
-                      "terminal": terminal}
-            fp.write(_encode(record) + "\n")
+        fp.write("".join(parts))
 
 
 def _parse_header(obj: dict, line: int) -> CorpusHeader:
@@ -238,15 +239,21 @@ def load_corpus(path: str) -> Corpus:
         except json.JSONDecodeError as exc:
             raise CorpusParseError(f"invalid JSON: {exc.msg}", lineno) from None
         try:
-            dialog_id, turn = int(obj["dialog_id"]), int(obj["turn"])
+            row = (lineno, obj["dialog_id"], obj["turn"], obj["s"], obj["a"],
+                   obj["s_next"], obj["terminal"])
+            _, dialog_id, turn, _, label, _, terminal = row
+            # exact types: bool is a subclass of int, and a cast would read
+            # 0.9 as 0, "1" as 1 and "no" as true
+            if not (type(dialog_id) is type(turn) is int
+                    and type(label) is str and type(terminal) is bool):
+                raise TypeError("want integer dialog_id and turn, a string "
+                                "action and a boolean terminal")
             if max(abs(dialog_id), abs(turn)) >= 2 ** 63:
                 raise OverflowError("dialog_id or turn out of the int64 range")
-            row = (lineno, dialog_id, turn, obj["s"], str(obj["a"]),
-                   obj["s_next"], bool(obj["terminal"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, OverflowError) as exc:
             raise CorpusParseError(f"bad transition record: {exc}", lineno) from None
-        if row[4] not in action_index:
-            raise SchemaMismatch(f"line {lineno}: unknown action {row[4]!r}")
+        if label not in action_index:
+            raise SchemaMismatch(f"line {lineno}: unknown action {label!r}")
         rows.append(row)
     linenos, ids, turns, s_rows, labels, s_next_rows, terminals = \
         zip(*rows) if rows else [()] * 7

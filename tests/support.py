@@ -1,16 +1,18 @@
-"""Shared test machinery: grammar-level template generators, enumerable MDP
-corpora with exact dynamic-programming oracles, and a robust peak estimator
-for heavily skewed samples."""
+"""Shared test machinery: grammar-level template generators, the row-wise
+state variables and the record-by-record corpus writer as oracles, enumerable
+MDP corpora with exact dynamic-programming oracles, and a robust peak
+estimator for heavily skewed samples."""
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
 from evodial.core import _BOOL_FEATURES, RewardConfig, _schema_slots
-from evodial.corpus_io import Corpus, CorpusHeader
+from evodial.corpus_io import Corpus, CorpusHeader, _g17
 from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
                          StateSchema, TemplateAst)
 
@@ -108,6 +110,41 @@ def variables_from_features(vec: np.ndarray, names: Sequence[str]) -> dict[str, 
     for name in _BOOL_FEATURES:
         out[name] = bool(vec[idx[name]] > 0.5)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Record-by-record corpus writer: the oracle of ``corpus_io.save_corpus``
+# ---------------------------------------------------------------------------
+
+def _encode(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _g17(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(k)}: {_encode(v)}" for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_encode(v) for v in value) + "]"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def save_corpus_by_record(path: str, corpus: Corpus) -> None:
+    """Write ``corpus`` one record at a time, each value encoded on its own."""
+    actions = corpus.header.action_set
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+        fp.write(_encode(asdict(corpus.header)) + "\n")
+        for dialog_id, turn, s, a, s_next, terminal in zip(
+                corpus.dialog_id.tolist(), corpus.turn.tolist(), corpus.S,
+                corpus.A.tolist(), corpus.S_next, corpus.terminal.tolist()):
+            record = {"dialog_id": dialog_id, "turn": turn, "s": s.tolist(),
+                      "a": actions[a], "s_next": s_next.tolist(),
+                      "terminal": terminal}
+            fp.write(_encode(record) + "\n")
 
 
 # ---------------------------------------------------------------------------

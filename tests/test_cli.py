@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from evodial import evolution
+from evodial import batch_rl, corpus_io, evolution
 from evodial.cli import main
 from evodial.simulator import default_template_text
 
@@ -379,8 +379,8 @@ _SMALL_RUN = {
 }
 
 
-def _no_ga(*args, **kwargs):
-    raise AssertionError("a GA ran before the flags were checked")
+def _too_early(*args, **kwargs):
+    raise AssertionError("work began before the flags were checked")
 
 
 @pytest.mark.parametrize("run, flags, topic", [
@@ -399,6 +399,11 @@ def _no_ga(*args, **kwargs):
     ("train-corpus", ["--punish", "nan"], "punish"),
     ("make-corpus", ["--episodes", "0"], "episodes"),
     ("pop-sweep", ["--repeats", "0"], "repeats"),
+    ("train-corpus", ["--pop", "0"], "n_pop"),
+    ("train-corpus", ["--k", "0"], "1 <= k"),
+    ("train-corpus", ["--sigma", "0"], "sigma"),
+    ("train-corpus", ["--mu-mut", "2"], "mu_mut"),
+    ("train-corpus", ["--n-mut", "100"], "n_mut"),
 ], ids=["train-sim-empty-noise", "evaluate-empty-noise",
         "make-corpus-empty-noise", "train-sim-noise-above-1",
         "make-corpus-noise-below-0", "train-sim-zero-episodes",
@@ -406,16 +411,20 @@ def _no_ga(*args, **kwargs):
         "make-corpus-epsilon-above-1", "make-corpus-epsilon-below-0",
         "train-sim-nan-sigma", "train-sim-inf-sigma",
         "train-corpus-nan-punish", "make-corpus-zero-episodes",
-        "pop-sweep-zero-repeats"])
+        "pop-sweep-zero-repeats", "train-corpus-zero-pop",
+        "train-corpus-zero-k", "train-corpus-zero-sigma",
+        "train-corpus-mu-mut-above-1", "train-corpus-n-mut-fills-pop"])
 def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
                                      monkeypatch, run, flags, topic):
     monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
     params = tmp_path / "params.json"
     params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
     if run == "pop-sweep":
-        monkeypatch.setattr(evolution, "run_ga", _no_ga)
+        monkeypatch.setattr(evolution, "run_ga", _too_early)
     if run == "train-corpus":
         corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+        monkeypatch.setattr(corpus_io, "load_corpus", _too_early)
+        monkeypatch.setattr(batch_rl, "fitted_q_iteration", _too_early)
         template_file = _flat_template(tmp_path)
         flags = ["--corpus", str(corpus), *flags]
     command = "evaluate" if run == "pop-sweep" else run

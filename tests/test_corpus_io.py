@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from evodial.core import CORPUS_REWARDS
+from evodial.core import CORPUS_REWARDS, RewardConfig
 from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
                                MissingTerminal, ResamplePlan, SchemaMismatch,
                                load_corpus, resample_splits, save_corpus)
 from evodial.simulator import make_synthetic_corpus
 from support import (CHAIN_ACTIONS, CHAIN_HEADER, CHAIN_REWARDS, chain_corpus,
-                     corpus_from_rows)
+                     corpus_from_rows, save_corpus_by_record)
 
 HEADER = CHAIN_HEADER
 COLUMNS = ("S", "A", "S_next", "terminal", "dialog_id", "turn", "starts")
@@ -66,6 +66,21 @@ def test_floats_survive_17_digit_round_trip(tmp_path):
     assert loaded.S[0].tobytes() == tricky.tobytes()
 
 
+@pytest.mark.parametrize("spoil", ["nan-reward", "inf-feature"])
+def test_failed_save_leaves_the_file_as_it_was(tmp_path, spoil):
+    path = _write(tmp_path, chain_corpus(3))
+    before = path.read_bytes()
+    if spoil == "nan-reward":
+        bad = chain_corpus(2, rewards=RewardConfig(np.nan, 10.0, 0.0, 0.0,
+                                                   0.9))
+    else:
+        bad = chain_corpus(2)
+        bad.S_next[-1, 0] = np.inf  # past the constructor's check
+    with pytest.raises(ValueError, match="finite"):
+        save_corpus(str(path), bad)
+    assert path.read_bytes() == before
+
+
 def test_parse_error_carries_line_number(tmp_path):
     path = _write(tmp_path, chain_corpus(2))
     lines = path.read_text().splitlines()
@@ -73,6 +88,23 @@ def test_parse_error_carries_line_number(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusParseError) as err:
         load_corpus(str(path))
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("field, literal", [
+    ('"dialog_id": 0', '"dialog_id": 0.9'),
+    ('"turn": 1', '"turn": "1"'),
+    ('"turn": 1', '"turn": true'),
+    ('"terminal": true', '"terminal": "no"'),
+    ('"a": "advance"', '"a": 1'),
+], ids=["float-dialog-id", "string-turn", "bool-turn", "string-terminal",
+        "number-action"])
+def test_mistyped_scalar_field_rejected_with_line(tmp_path, field, literal):
+    lines = _write(tmp_path, chain_corpus(2)).read_text().splitlines()
+    lines[2] = lines[2].replace(field, literal)
+    with pytest.raises(CorpusParseError, match="bad transition record") \
+            as err:
+        load_corpus(str(_rewritten(tmp_path, lines)))
     assert err.value.line == 3
 
 
@@ -290,5 +322,63 @@ def test_resample_splits_property():
             assert set(ids[perm[:n_train]]).isdisjoint(ids[perm[n_train:]])
             assert train.n_dialogs + test.n_dialogs == corpus.n_dialogs
             assert len(train) + len(test) == len(corpus)
+
+    check()
+
+
+# Writer property: the bytes of the record-by-record oracle.
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e-17, 0.1, 0.9999999999999999, 1e308,
+                  -1e308]
+
+
+def _writer_corpus_strategy(st):
+    floats = st.floats(allow_nan=False, allow_infinity=False)
+    labels = st.one_of(st.text(max_size=6),
+                       st.sampled_from(['say "no"', "naïve", "caf\u00e9 \u2603",
+                                        "back\\slash", "tab\tstop"]))
+
+    @st.composite
+    def corpora(draw):
+        names = tuple(draw(st.lists(st.text(max_size=6), max_size=4)))
+        actions = tuple(draw(st.lists(labels, min_size=1, max_size=4,
+                                      unique=True)))
+        # a small pool, so that values repeat heavily
+        pool = SPECIAL_FLOATS + draw(st.lists(floats, max_size=6))
+        value = st.sampled_from(pool)
+        rewards = RewardConfig(*(draw(value) for _ in range(4)),
+                               gamma=draw(st.sampled_from(
+                                   [0.9, 1.0, 5e-324, 0.9999999999999999])))
+        lengths = draw(st.lists(st.integers(1, 3), max_size=5))
+        ids = draw(st.lists(st.integers(-2 ** 62, 2 ** 62), unique=True,
+                            min_size=len(lengths), max_size=len(lengths)))
+        rows = []
+        for dialog_id, length in zip(ids, lengths):
+            first_turn = draw(st.integers(-5, 50))
+            rows += [(dialog_id, first_turn + j, j == length - 1,
+                      draw(st.integers(0, len(actions) - 1)))
+                     for j in range(length)]
+        n, width = len(rows), len(names)
+        S, S_next = (np.array([draw(value) for _ in range(n * width)],
+                              dtype=np.float64).reshape(n, width)
+                     for _ in range(2))
+        ids, turns, terminal, A = zip(*rows) if rows else [()] * 4
+        return Corpus(CorpusHeader(draw(st.text(max_size=6)), names, actions,
+                                   rewards), S, A, S_next, terminal, ids, turns)
+
+    return corpora()
+
+
+def test_save_matches_record_by_record_writer_property(tmp_path):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(corpus=_writer_corpus_strategy(st))
+    def check(corpus):
+        ours, oracle = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        save_corpus(str(ours), corpus)
+        save_corpus_by_record(str(oracle), corpus)
+        assert ours.read_bytes() == oracle.read_bytes()
 
     check()
