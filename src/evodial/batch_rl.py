@@ -177,15 +177,17 @@ def _state_actions(corpus: Corpus) -> np.ndarray:
 
 
 def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
-                       iteration_hook: Callable[[int, np.ndarray], None] | None
-                       = None) -> QModel:
+                       iteration_hook: Callable[
+                           [int, np.ndarray, ExtraTreesRegressor], None]
+                       | None = None) -> QModel:
     """Episodic fitted Q-iteration; returns the final Q-model.
 
     Targets start at zero.  Each outer iteration sets terminal turns to their
     immediate reward and bootstraps non-terminal turns through the running
     regressor's action maximum, then refits the ensemble from scratch.
-    ``iteration_hook`` (if given) receives each iteration's target array,
-    e.g. for convergence monitoring.
+    ``iteration_hook`` (if given) receives each iteration's number, target
+    array and fitted ensemble, e.g. for convergence monitoring.  The first
+    ensemble is the one ``first_fqe_ensemble`` fits on the same corpus.
     """
     X_sa, header = _state_actions(corpus), corpus.header
     term, r = corpus.terminal, corpus.rewards()
@@ -199,10 +201,10 @@ def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
             q_max = model.q_matrix(S_next_open).max(axis=1)
         Q[term] = r[term]
         Q[~term] = r[~term] + cfg.gamma * q_max
-        if iteration_hook is not None:
-            iteration_hook(l, Q.copy())
         reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
                                   seed=(cfg.seed, l)).fit(X_sa, Q)
+        if iteration_hook is not None:
+            iteration_hook(l, Q.copy(), reg)
         model = QModel(reg, header.action_set, header.feature_names,
                        FEATURE_SCHEMA_VERSION)
     return model
@@ -310,8 +312,42 @@ def policy_next_actions(policy: BatchPolicy, corpus: Corpus) -> np.ndarray:
     return pi_next
 
 
+def _fqe_problem(corpus: Corpus, cfg: FittedQConfig):
+    """``(targets, fit)`` of off-policy evaluation on ``corpus``:
+    ``targets(q_pi)`` is ``r + gamma * q_pi`` with the successor values
+    ``q_pi`` at the open rows, and ``fit(Q, l)`` fits iteration ``l``'s
+    ensemble on the logged state-actions."""
+    X_sa, r = _state_actions(corpus), corpus.rewards()
+    open_rows = ~corpus.terminal
+
+    def targets(q_pi: np.ndarray) -> np.ndarray:
+        Q = r.copy()
+        Q[open_rows] += cfg.gamma * q_pi
+        return Q
+
+    def fit(Q: np.ndarray, l: int) -> ExtraTreesRegressor:
+        return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
+                                   seed=(cfg.seed, l)).fit(X_sa, Q)
+
+    return targets, fit
+
+
+def first_fqe_ensemble(corpus: Corpus,
+                       cfg: FittedQConfig) -> ExtraTreesRegressor:
+    """The first ensemble of ``fitted_q_evaluation`` on ``corpus``.
+
+    It regresses the immediate rewards (targets ``r + gamma * 0``) on the
+    logged state-actions with seed ``(cfg.seed, 1)``, so no evaluated
+    policy changes it; ``fitted_q_iteration`` fits the same ensemble first.
+    """
+    targets, fit = _fqe_problem(corpus, cfg)
+    return fit(targets(np.zeros(int((~corpus.terminal).sum()))), 1)
+
+
 def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
-                        cfg: FittedQConfig) -> list[float]:
+                        cfg: FittedQConfig,
+                        first: ExtraTreesRegressor | None = None
+                        ) -> list[float]:
     """Off-policy value estimates of several policies on one corpus.
 
     Runs the fitted-Q iteration scheme with the action maximum replaced by
@@ -326,24 +362,16 @@ def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
     which no policy changes, so it is fitted once and shared: ``P`` policies
     cost ``1 + P * (l_max - 2)`` ensemble fits for ``l_max >= 2`` and none
     for ``l_max == 1``, with the same values as fitting each policy alone.
+    A given ``first`` ensemble (``first_fqe_ensemble(corpus, cfg)``, or
+    ``fitted_q_iteration``'s equal first one) replaces that fit, leaving
+    ``P * (l_max - 2)``.
     """
-    X_sa, r = _state_actions(corpus), corpus.rewards()
-    open_rows = ~corpus.terminal
-
-    def targets(q_pi: np.ndarray) -> np.ndarray:
-        Q = r.copy()
-        Q[open_rows] += cfg.gamma * q_pi
-        return Q
-
-    def fit(Q: np.ndarray, l: int) -> ExtraTreesRegressor:
-        return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                   seed=(cfg.seed, l)).fit(X_sa, Q)
-
-    S_next_open = corpus.S_next[open_rows]
+    targets, fit = _fqe_problem(corpus, cfg)
+    S_next_open = corpus.S_next[~corpus.terminal]
     Q_first = targets(np.zeros(len(S_next_open)))
     if cfg.l_max == 1:
         return [float(Q_first[corpus.starts].mean())] * len(pi_nexts)
-    reg_first = fit(Q_first, 1)
+    reg_first = fit(Q_first, 1) if first is None else first
     values = []
     for pi_next in pi_nexts:
         X_next_pi = np.hstack([S_next_open, _one_hot(

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import batch_rl, corpus_io, dsl, evolution, simulator
-from .core import CORPUS_REWARDS, SIM_REWARDS
+from .core import CORPUS_REWARDS, SIM_REWARDS, template_feature_columns
 
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
@@ -104,6 +104,16 @@ def _load_ontology(args) -> simulator.Ontology:
     return simulator.default_ontology()
 
 
+def _load_corpus(path: str) -> corpus_io.Corpus:
+    """The corpus at ``path``; its features must hold every column that
+    the template variables and the rewards read."""
+    corpus = corpus_io.load_corpus(path)
+    header = corpus.header
+    header.require_columns(template_feature_columns(header.feature_names)
+                           + corpus_io.REWARD_COLUMNS)
+    return corpus
+
+
 def _write_json(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
 
@@ -171,10 +181,69 @@ def cmd_train_sim(args) -> int:
     return 0
 
 
-def _fqe_job(shared, job) -> list[float]:
+_DM_NAMES = ("GA-NPoints", "GA-QVal", "SL-Original", "SL-MaxQ",
+             "ThresholdedQ")
+
+
+def _round_job(shared, job):
+    """One pool job of a train-corpus round, on split ``job[1]``: the
+    behaviour classifier, a first FQE ensemble, or one policy's FQE."""
     splits, cfg = shared
-    split, pi_nexts = job
-    return batch_rl.fitted_q_evaluation(splits[split], pi_nexts, cfg)
+    kind, split, *args = job
+    if kind == "classifier":
+        return batch_rl.fit_action_classifier(splits[split], cfg)
+    if kind == "first":
+        return batch_rl.first_fqe_ensemble(splits[split], cfg)
+    pi_next, first = args
+    return batch_rl.fitted_q_evaluation(splits[split], [pi_next], cfg,
+                                        first)[0]
+
+
+def _corpus_round(splits, ast, fq_cfg, qv_cfg, ga_cfg):
+    """One resampling round of train-corpus on ``splits`` (train, test).
+
+    Returns each policy's FQE scores ``[train, test]`` by name, collected
+    in ``_DM_NAMES`` order, and the corpus GAs' parameters.  Each job goes
+    to the pool as soon as its inputs exist, while the parent fits the
+    Q-model and then runs the GAs.
+    """
+    train, header = splits[0], splits[0].header
+    with evolution.worker_map(_round_job, (splits, fq_cfg),
+                              _workers()) as map_jobs:
+        early = map_jobs([("classifier", 0)] + (
+            [("first", 1)] if fq_cfg.l_max > 1 else []))
+        firsts = [None, None]  # per split, for l_max > 1
+
+        def keep_first(l, Q, reg):
+            # fitted-Q's first ensemble is the train split's FQE one
+            if l == 1 < fq_cfg.l_max:
+                firsts[0] = reg
+
+        q = batch_rl.fitted_q_iteration(train, fq_cfg, keep_first)
+        clf = next(early)
+        if fq_cfg.l_max > 1:
+            firsts[1] = next(early)
+        policies = dict(batch_rl.build_comparison_dms(q, clf, qv_cfg))
+
+        def fqe_jobs(name: str):
+            return map_jobs([
+                ("fqe", i, batch_rl.policy_next_actions(policies[name], split),
+                 firsts[i])
+                for i, split in enumerate(splits)])
+
+        values = {name: fqe_jobs(name) for name in policies}
+        params_by_dm = {}
+        for mode, name in (("npoints", "GA-NPoints"), ("qval", "GA-QVal")):
+            fitness = batch_rl.CorpusFitness(ast, train.S,
+                                             header.feature_names, mode, q,
+                                             clf, qv_cfg)
+            # a corpus fitness call takes ~0.1 ms: dispatch would cost more
+            best, _ = evolution.run_ga(fitness, ga_cfg, n_workers=1)
+            policies[name] = batch_rl.template_corpus_policy(
+                ast, best.genome, header.feature_names, header.action_set)
+            params_by_dm[name] = [float(v) for v in best.genome]
+            values[name] = fqe_jobs(name)
+        return {name: list(values[name]) for name in _DM_NAMES}, params_by_dm
 
 
 def cmd_train_corpus(args) -> int:
@@ -188,7 +257,7 @@ def cmd_train_corpus(args) -> int:
         raise dsl.StructuralParamForbidden(
             "corpus training needs a template without structural action "
             "parameters")
-    corpus = corpus_io.load_corpus(args.corpus)
+    corpus = _load_corpus(args.corpus)
     header, n_dialogs = corpus.header, corpus.n_dialogs
     print(f"corpus: {n_dialogs} dialogs, {len(corpus)} transitions")
     fq_cfg = batch_rl.FittedQConfig(
@@ -196,8 +265,7 @@ def cmd_train_corpus(args) -> int:
         n_min=args.n_min, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dm_names = ("GA-NPoints", "GA-QVal", "SL-Original", "SL-MaxQ", "ThresholdedQ")
-    scores = {d: {"train": [], "test": []} for d in dm_names}
+    scores = {d: {"train": [], "test": []} for d in _DM_NAMES}
     chosen = "GA-QVal" if args.fitness == "qval" else "GA-NPoints"
     best_rounds = []
     if not len(corpus):
@@ -207,35 +275,17 @@ def cmd_train_corpus(args) -> int:
             raise batch_rl.MalformedEpisode(
                 f"resampling round {r} leaves the train split empty "
                 f"({n_dialogs} dialog{'' if n_dialogs == 1 else 's'})")
-        q = batch_rl.fitted_q_iteration(train, fq_cfg)
-        clf = batch_rl.fit_action_classifier(train, fq_cfg)
-        policies = dict(batch_rl.build_comparison_dms(q, clf, qv_cfg))
-        params_by_dm = {}
-        for mode, name in (("npoints", "GA-NPoints"), ("qval", "GA-QVal")):
-            fitness = batch_rl.CorpusFitness(ast, train.S,
-                                             header.feature_names, mode, q,
-                                             clf, qv_cfg)
-            # a corpus fitness call takes ~0.1 ms: dispatch would cost more
-            best, _ = evolution.run_ga(fitness, ga_cfg, n_workers=1)
-            policies[name] = batch_rl.template_corpus_policy(
-                ast, best.genome, header.feature_names, header.action_set)
-            params_by_dm[name] = [float(v) for v in best.genome]
-        splits = (train, test)
-        # one job per split: its five policies share the first FQE fit
-        jobs = [(i, [batch_rl.policy_next_actions(policies[name], split)
-                     for name in dm_names])
-                for i, split in enumerate(splits)]
-        values = evolution.parallel_map(_fqe_job, jobs, _workers(),
-                                        (splits, fq_cfg))
-        for split_name, split_values in zip(("train", "test"), values):
-            for name, value in zip(dm_names, split_values):
+        values, params_by_dm = _corpus_round((train, test), ast, fq_cfg,
+                                             qv_cfg, ga_cfg)
+        for name in _DM_NAMES:
+            for split_name, value in zip(("train", "test"), values[name]):
                 scores[name][split_name].append(value)
         best_rounds.append({"round": r, "params": params_by_dm[chosen],
                             "test_score": scores[chosen]["test"][-1]})
         print(f"round {r}: {chosen} test score "
               f"{scores[chosen]['test'][-1]:.2f}")
     rows = []
-    for name in dm_names:
+    for name in _DM_NAMES:
         tr = np.array(scores[name]["train"])
         te = np.array(scores[name]["test"])
         rows.append([name, float(tr.mean()), float(tr.std()),
@@ -315,7 +365,7 @@ def cmd_evaluate(args) -> int:
         raise ValueError("--params is required unless --pop-sweep is given")
     params = _load_params(args.params, ast)
     if args.corpus:
-        corpus = corpus_io.load_corpus(args.corpus)
+        corpus = _load_corpus(args.corpus)
         header = corpus.header
         cfg = batch_rl.FittedQConfig(
             l_max=args.l_max, gamma=header.reward_config.gamma,

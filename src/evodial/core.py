@@ -255,6 +255,13 @@ def _schema_slots(names: Sequence[str]) -> list[str]:
     return [n[len("second_"):] for n in names if n.startswith("second_")]
 
 
+def template_feature_columns(names: Sequence[str]) -> tuple[str, ...]:
+    """The columns of the feature layout ``names`` that
+    :func:`variable_columns_from_features` reads."""
+    return (*(f"top_{s}" for s in _schema_slots(names)), "top_slu_score",
+            "filled_count", "turn_frac", *_BOOL_FEATURES)
+
+
 def variable_columns_from_features(X: np.ndarray,
                                    names: Sequence[str]) -> dict[str, np.ndarray]:
     """The template-visible state variables of a state matrix, one column

@@ -1,7 +1,8 @@
 """Corpus files: JSON-lines serialization, validation and resampling.
 
 Line 1 is a header object ``{schema_version, feature_names, action_set,
-reward_config}``; every following line is one transition ``{dialog_id, turn,
+reward_config}``, its names and action labels lists of distinct strings;
+every following line is one transition ``{dialog_id, turn,
 s, a, s_next, terminal}`` with the feature vectors as float lists.  Floats
 are written with 17 significant digits so that save(load(f)) is
 byte-identical for canonical files.  Transitions of one dialog are
@@ -40,12 +41,25 @@ class MissingTerminal(Exception):
         return f"dialog {self.dialog_id}: {self.args[1]}"
 
 
+# the feature columns that Corpus.rewards reads
+REWARD_COLUMNS = tuple(f"offer_{outcome}" for outcome in
+                       (OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG))
+
+
 @dataclass(frozen=True)
 class CorpusHeader:
     schema_version: str
     feature_names: tuple[str, ...]
     action_set: tuple[str, ...]
     reward_config: RewardConfig
+
+    def require_columns(self, names: Sequence[str]) -> None:
+        """Raise SchemaMismatch naming the first of ``names`` that is not
+        a feature column."""
+        for name in names:
+            if name not in self.feature_names:
+                raise SchemaMismatch(f"the corpus has no {name!r} feature "
+                                     f"column")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,8 +144,9 @@ class Corpus:
     def rewards(self) -> np.ndarray:
         """Per-row ``core.reward``, read off the offer flags of ``S_next``."""
         names, rc = self.header.feature_names, self.header.reward_config
-        flags = [self.S_next[:, names.index(f"offer_{outcome}")] > 0.5
-                 for outcome in (OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG)]
+        self.header.require_columns(REWARD_COLUMNS)
+        flags = [self.S_next[:, names.index(column)] > 0.5
+                 for column in REWARD_COLUMNS]
         return np.select(flags, [rc.per_turn + rc.correct_offer,
                                  rc.per_turn + rc.duplicate_offer,
                                  rc.per_turn + rc.wrong_offer], rc.per_turn)
@@ -199,11 +214,24 @@ def save_corpus(path: str, corpus: Corpus) -> None:
         fp.write("".join(parts))
 
 
+def _labels(obj: dict, key: str, line: int) -> tuple[str, ...]:
+    """``obj[key]``, a list of distinct strings."""
+    labels = obj[key]
+    if not (type(labels) is list and all(type(x) is str for x in labels)):
+        raise CorpusParseError(f"bad header: {key} must be a list of "
+                               f"strings", line)
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise CorpusParseError(f"bad header: {key} repeats {label!r}",
+                                   line)
+    return tuple(labels)
+
+
 def _parse_header(obj: dict, line: int) -> CorpusHeader:
     try:
         version = obj["schema_version"]
-        names = tuple(obj["feature_names"])
-        actions = tuple(obj["action_set"])
+        names = _labels(obj, "feature_names", line)
+        actions = _labels(obj, "action_set", line)
         rc = obj["reward_config"]
         rewards = RewardConfig(*(float(rc[f.name])
                                  for f in fields(RewardConfig)))

@@ -216,8 +216,11 @@ def worker_map(fn: Callable, shared, n_workers: int):
     With ``n_workers > 1`` one process pool serves every ``map`` call made in
     the block: ``shared`` reaches each worker once, through the pool
     initializer, and only the jobs are sent per call.  The pool is shut down
-    and its workers joined when the block exits.  With one worker ``fn`` runs
-    inline.  Results are fetched lazily in both cases, so an exception
+    and its workers joined when the block exits, also when it exits by an
+    exception while jobs are in flight.  ``map`` submits all its jobs when
+    it is called, so the jobs of several calls can run while the caller
+    works.  With one worker ``fn`` runs inline, each job when its result is
+    fetched.  Results are fetched lazily in both cases, so an exception
     surfaces at the position of the job that raised it.
     """
     if n_workers <= 1:

@@ -57,6 +57,12 @@ def _parse_ontology(text: str, source: str) -> Ontology:
             for values in slots.values()):
         raise ValueError(f'{source}: expected {{"slots": {{slot: [value, '
                          f'...]}}}} with at least one string value per slot')
+    # a corpus header must name each feature once
+    names = feature_names(tuple(slots))
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValueError(f"{source}: the slots make two {name!r} "
+                             f"features")
     return Ontology(tuple(slots), {s: tuple(v) for s, v in slots.items()})
 
 

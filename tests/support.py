@@ -267,3 +267,20 @@ class SphereFitness:
 
     def evaluate(self, genome: np.ndarray, rng) -> float:
         return -float(np.sum((genome - self.target) ** 2))
+
+
+@dataclass
+class NoisySphereFitness:
+    """SphereFitness plus Gaussian noise from the evaluation stream, so the
+    GA's per-evaluation RNG streams reach the fitness values."""
+
+    target: np.ndarray
+    noise: float
+
+    @property
+    def n_params(self) -> int:
+        return len(self.target)
+
+    def evaluate(self, genome: np.ndarray, rng) -> float:
+        return (-float(np.sum((genome - self.target) ** 2))
+                + self.noise * float(rng.standard_normal()))

@@ -6,8 +6,8 @@ from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
                               QValConfig, build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
                               fitness_npoints, fitness_qval,
-                              fitted_q_evaluation, fitted_q_iteration,
-                              policy_next_actions, template_actions,
+                              first_fqe_ensemble, fitted_q_evaluation,
+                              fitted_q_iteration, policy_next_actions, template_actions,
                               template_corpus_policy)
 from evodial.core import RewardConfig
 from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
@@ -395,6 +395,48 @@ def test_fqe_fit_schedule(monkeypatch, l_max, n_policies):
     # iteration is ever fitted
     assert all(seed[1] < l_max for seed in fits)
     assert fits[:1] == ([] if l_max == 1 else [(3, 1)])
+
+
+def _tree_bytes(ensemble: ExtraTreesRegressor) -> list[bytes]:
+    return [getattr(tree, name).tobytes() for tree in ensemble._trees
+            for name in ("feature", "threshold", "left", "right", "value")]
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 4])
+def test_fitted_q_first_ensemble_is_the_fqe_first_ensemble(l_max):
+    # train-corpus reuses fitted-Q's first ensemble as the train split's
+    # first FQE ensemble: both regress r + gamma * 0 with seed (seed, 1)
+    corpus = chain_corpus(30, rewards=FQE_PIN_REWARDS)
+    cfg = _fqe_cfg(l_max)
+    seen = []
+    fitted_q_iteration(corpus, cfg,
+                       lambda l, Q, reg: seen.append((l, Q, reg)))
+    assert [l for l, _, _ in seen] == list(range(1, l_max + 1))
+    l, Q, reg = seen[0]
+    assert Q.tobytes() == corpus.rewards().tobytes()
+    assert reg.seed == (cfg.seed, 1)
+    assert _tree_bytes(reg) == _tree_bytes(first_fqe_ensemble(corpus, cfg))
+
+
+@pytest.mark.parametrize("l_max", [1, 2, 3, 5])
+def test_fqe_given_first_ensemble(monkeypatch, l_max):
+    corpus = chain_corpus(40, rewards=FQE_PIN_REWARDS)
+    cfg = _fqe_cfg(l_max)
+    pi_nexts = [policy_next_actions(p, corpus)
+                for p in FQE_PIN_POLICIES.values()]
+    expected = fitted_q_evaluation(corpus, pi_nexts, cfg)
+    first = first_fqe_ensemble(corpus, cfg)
+    fits = []
+    real_fit = ExtraTreesRegressor.fit
+
+    def counting_fit(self, X, y):
+        fits.append(self.seed)
+        return real_fit(self, X, y)
+
+    monkeypatch.setattr(ExtraTreesRegressor, "fit", counting_fit)
+    assert fitted_q_evaluation(corpus, pi_nexts, cfg, first) == expected
+    assert len(fits) == len(pi_nexts) * max(l_max - 2, 0)
+    assert (cfg.seed, 1) not in fits
 
 
 def test_fqe_multi_policy_matches_single_policy_property():

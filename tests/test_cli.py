@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from evodial import batch_rl, corpus_io, evolution
+from evodial import batch_rl, corpus_io, evolution, trees
 from evodial.cli import main
 from evodial.simulator import default_template_text
 
@@ -208,8 +208,9 @@ def _outputs_per_worker_count(monkeypatch, tmp_path, argv, names):
     return outputs
 
 
+@pytest.mark.parametrize("l_max", ["1", "2", "3"])
 def test_train_corpus_parallel_matches_serial(template_file, tmp_path,
-                                              monkeypatch):
+                                              monkeypatch, l_max):
     corpus = tmp_path / "corpus.jsonl"
     main(["make-corpus", "--template", str(template_file), "--out",
           str(corpus), "--seed", "5", "--episodes", "30", "--epsilon", "0.3"])
@@ -218,7 +219,7 @@ def test_train_corpus_parallel_matches_serial(template_file, tmp_path,
         ["train-corpus", "--template", str(_flat_template(tmp_path)),
          "--corpus", str(corpus), "--seed", "6", "--resamples", "2",
          "--pop", "6", "--n-mut", "1", "--k", "2", "--generations", "2",
-         "--l-max", "2", "--trees", "3"],
+         "--l-max", l_max, "--trees", "3"],
         ("results.csv", "best_params.json", "policy.txt"))
     assert serial == parallel
 
@@ -281,29 +282,141 @@ def test_evaluate_empty_corpus_is_data_error(template_file, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-def test_train_corpus_maps_one_fqe_job_per_split(template_file, tmp_path,
-                                                 monkeypatch):
-    jobs = []
+def _train_corpus_args(template_file, tmp_path, l_max):
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "12"])
+    return ["train-corpus", "--template", str(_flat_template(tmp_path)),
+            "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+            "--seed", "6", "--resamples", "1", "--pop", "6",
+            "--n-mut", "1", "--k", "2", "--generations", "2",
+            "--l-max", str(l_max), "--trees", "2"]
+
+
+@pytest.mark.parametrize("l_max", [1, 3])
+def test_train_corpus_sends_each_job_when_its_inputs_exist(
+        template_file, tmp_path, monkeypatch, l_max):
+    events = []
 
     class CountingPool(evolution.ProcessPoolExecutor):
         def map(self, fn, *iterables, **kwargs):
             iterables = [list(it) for it in iterables]
-            jobs.extend(iterables[0])
+            events.append([job[:2] for job in iterables[0]])
             return super().map(fn, *iterables, **kwargs)
 
+    def recording(name, fn):
+        def record(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return record
+
     monkeypatch.setattr(evolution, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(evolution, "run_ga", recording("ga", evolution.run_ga))
+    monkeypatch.setattr(batch_rl, "fitted_q_iteration",
+                        recording("fqi", batch_rl.fitted_q_iteration))
     monkeypatch.setenv("EVODIAL_WORKERS", "2")
-    corpus = tmp_path / "corpus.jsonl"
-    main(["make-corpus", "--template", str(template_file), "--out",
-          str(corpus), "--seed", "5", "--episodes", "12"])
-    code = main(["train-corpus", "--template", str(_flat_template(tmp_path)),
-                 "--corpus", str(corpus), "--out", str(tmp_path / "o"),
-                 "--seed", "6", "--resamples", "1", "--pop", "6",
-                 "--n-mut", "1", "--k", "2", "--generations", "2",
-                 "--l-max", "3", "--trees", "2"])
-    assert code == 0
-    assert [(split, len(pi_nexts)) for split, pi_nexts in jobs] == \
-        [(0, 5), (1, 5)]
+    assert main(_train_corpus_args(template_file, tmp_path, l_max)) == 0
+    fqe = [("fqe", 0), ("fqe", 1)]
+    early = [("classifier", 0)] + ([("first", 1)] if l_max > 1 else [])
+    # the classifier and the test split's first ensemble run beside
+    # fitted-Q; the reference policies' FQEs beside the GAs
+    assert events == [early, "fqi", fqe, fqe, fqe, "ga", fqe, "ga", fqe]
+
+
+def test_train_corpus_fits_fitted_q_first_ensemble_once(
+        template_file, tmp_path, monkeypatch):
+    fits = {"regressor": 0, "classifier": 0}
+    for kind, cls in (("regressor", trees.ExtraTreesRegressor),
+                      ("classifier", trees.ExtraTreesClassifier)):
+        def counting_fit(self, *args, _real=cls.fit, _kind=kind, **kwargs):
+            fits[_kind] += 1
+            return _real(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "fit", counting_fit)
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    assert main(_train_corpus_args(template_file, tmp_path, 3)) == 0
+    # fitted-Q 3, the test split's first FQE ensemble 1, then one fit per
+    # policy and split; the train split's first FQE ensemble is fitted-Q's
+    assert fits == {"regressor": 3 + 1 + 5 * 2, "classifier": 1}
+
+
+def test_train_corpus_ga_failure_with_fqe_jobs_in_flight(
+        template_file, tmp_path, monkeypatch, capsys):
+    def failing_ga(fitness, cfg, n_workers=1):
+        raise evolution.FitnessEvaluationFailure(1, 2, ValueError("boom"))
+
+    monkeypatch.setattr(evolution, "run_ga", failing_ga)
+    monkeypatch.setenv("EVODIAL_WORKERS", "2")
+    argv = _train_corpus_args(template_file, tmp_path, 3)
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: fitness evaluation failed at generation 1")
+    assert err.count("\n") == 1
+    assert not multiprocessing.active_children()
+
+
+def _edit_header(corpus: Path, edit) -> None:
+    lines = corpus.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    corpus.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+
+
+def _rename_feature(old, new):
+    def edit(header):
+        names = header["feature_names"]
+        names[names.index(old)] = new
+    return edit
+
+
+def _set_item(key, index, value):
+    def edit(header):
+        header[key][index] = value
+    return edit
+
+
+def _repeat_first(key):
+    def edit(header):
+        header[key][1] = header[key][0]
+    return edit
+
+
+@pytest.mark.parametrize("command", ["train-corpus", "evaluate"])
+@pytest.mark.parametrize("edit, code, message", [
+    (_set_item("action_set", 0, {"x": 1}), 3,
+     "bad header: action_set must be a list of strings (line 1)"),
+    (_set_item("feature_names", 1, None), 3,
+     "bad header: feature_names must be a list of strings (line 1)"),
+    (_repeat_first("action_set"), 3,
+     "bad header: action_set repeats 'Welcome' (line 1)"),
+    (_rename_feature("filled_count", "turn_frac"), 3,
+     "bad header: feature_names repeats 'turn_frac' (line 1)"),
+    (_rename_feature("top_slu_score", "slu_score"), 4,
+     "the corpus has no 'top_slu_score' feature column"),
+    (_rename_feature("top_food", "food_top"), 4,
+     "the corpus has no 'top_food' feature column"),
+    (_rename_feature("offer_wrong", "wrong_offer"), 4,
+     "the corpus has no 'offer_wrong' feature column"),
+], ids=["action-not-a-string", "null-feature-name", "repeated-action",
+        "repeated-turn-frac", "no-top-slu-score", "no-slot-top-score",
+        "no-reward-flag"])
+def test_bad_corpus_header_exits_without_traceback(
+        template_file, tmp_path, capsys, command, edit, code, message):
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    _edit_header(corpus, edit)
+    argv = [command, "--template", str(_flat_template(tmp_path)),
+            "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+            "--seed", "1", "--l-max", "2", "--trees", "2"]
+    if command == "evaluate":
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([0.3, 0.8, 0.5]))
+        argv += ["--params", str(params)]
+    else:
+        argv += ["--resamples", "1"]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command, params, ontology, template, code", [
@@ -316,10 +429,13 @@ def test_train_corpus_maps_one_fqe_job_per_split(template_file, tmp_path,
     ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slots": {"food": []}}, "shipped",
      2),
     ("evaluate", [0.3, 0.8, 0.5, 0.5], None, "directory", 2),
+    # top_slu_score would name two features of the corpus header
+    ("make-corpus", [0.3, 0.8, 0.5, 0.5],
+     {"slots": {"slu_score": ["a"], "food": ["b"]}}, "shipped", 2),
 ], ids=["params-object-without-list", "params-nan", "params-too-short",
         "make-corpus-params-too-short", "make-corpus-default-params",
         "ontology-without-slots", "ontology-slot-without-values",
-        "template-is-a-directory"])
+        "template-is-a-directory", "ontology-slot-named-slu-score"])
 def test_bad_input_files_exit_without_traceback(
         template_file, tmp_path, capsys, monkeypatch, command, params,
         ontology, template, code):

@@ -4,7 +4,7 @@ import pytest
 from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, DialogAct,
                           DialogState, NBestList, RewardConfig,
                           discounted_return, feature_names, featurize,
-                          resolve_action, reward,
+                          resolve_action, reward, template_feature_columns,
                           variable_columns_from_features)
 from evodial.corpus_io import Corpus, CorpusHeader
 from support import variables_from_features
@@ -104,6 +104,25 @@ def test_featurize_and_variables_agree():
         assert len(vec) == len(names)
         recovered = variables_from_features(vec, names)
         assert recovered == state.variables()
+
+
+def test_template_feature_columns_are_the_columns_read():
+    # renaming a listed column breaks variable_columns_from_features, and
+    # renaming any other column does not change what it returns
+    names = feature_names(SLOTS)
+    X = np.random.default_rng(2).random((5, len(names)))
+    listed = template_feature_columns(names)
+    assert set(listed) < set(names)
+    expected = variable_columns_from_features(X, names)
+    for i, name in enumerate(names):
+        renamed = names[:i] + ("unused",) + names[i + 1:]
+        if name in listed:
+            with pytest.raises(KeyError):
+                variable_columns_from_features(X, renamed)
+        elif not name.startswith("second_"):  # a second_ column names a slot
+            cols = variable_columns_from_features(X, renamed)
+            assert cols.keys() == expected.keys()
+            assert all(np.array_equal(cols[k], expected[k]) for k in cols)
 
 
 def test_variable_columns_match_rowwise():

@@ -9,7 +9,7 @@ from evodial.evolution import (FitnessEvaluationFailure, GaConfig,
                                GenomeLengthMismatch, Individual, InvalidConfig,
                                crossover, mutate, perturb, run_ga,
                                tournament_select)
-from support import SphereFitness, fitted_peak
+from support import NoisySphereFitness, SphereFitness, fitted_peak
 
 
 class _ForcedRng:
@@ -182,6 +182,38 @@ def test_run_ga_deterministic_and_parallel_identical():
     assert np.array_equal(best_a.genome, best_b.genome)
     assert trace_a.rows == trace_b.rows == trace_c.rows
     assert np.array_equal(best_a.genome, best_c.genome)
+
+
+def test_run_ga_serial_matches_two_workers_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @st.composite
+    def configs(draw):
+        n_pop = draw(st.integers(1, 8))
+        return GaConfig(
+            n_pop=n_pop, n_mut=draw(st.integers(0, n_pop - 1)),
+            t_max=draw(st.integers(0, 4)), k=draw(st.integers(1, n_pop)),
+            sigma=draw(st.floats(0.1, 10.0)), mu_mut=draw(st.floats(0.0, 1.0)),
+            seed=draw(st.integers(0, 2 ** 32 - 1)),
+            convergence_window=draw(st.none() | st.integers(1, 3)))
+
+    # each run_ga call joins its pool before returning, so at most one
+    # 2-worker pool exists at a time
+    @hypothesis.settings(max_examples=10, deadline=None, derandomize=True)
+    @hypothesis.given(cfg=configs(), n_params=st.integers(1, 4),
+                      fitness_seed=st.integers(0, 2 ** 16))
+    def check(cfg, n_params, fitness_seed):
+        rng = np.random.default_rng(fitness_seed)
+        fitness = NoisySphereFitness(rng.random(n_params), noise=0.1)
+        best_s, trace_s = run_ga(fitness, cfg)
+        best_p, trace_p = run_ga(fitness, cfg, n_workers=2)
+        assert not multiprocessing.active_children()
+        assert best_s.genome.tobytes() == best_p.genome.tobytes()
+        assert best_s.fitness == best_p.fitness
+        assert trace_s.rows == trace_p.rows
+
+    check()
 
 
 def test_convergence_window_stops_early():
