@@ -27,6 +27,10 @@ MODEL_FORMAT_VERSION = 1
 # A corpus policy maps a matrix of state features to action indices.
 BatchPolicy = Callable[[np.ndarray], np.ndarray]
 
+# (state, action) rows per predict pass of QModel.q_matrix: larger blocks
+# save little time but raise the process's peak memory.
+_Q_BLOCK_ROWS = 4096
+
 
 class MalformedEpisode(Exception):
     pass
@@ -108,15 +112,25 @@ class QModel:
         return len(self.action_set)
 
     def q_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Q-values for every action, one column per action-set entry."""
+        """Q-values for every action, one column per action-set entry.
+
+        One ``predict`` pass covers the (state, action) rows of up to
+        ``_Q_BLOCK_ROWS`` at a time: trees route each row by comparisons
+        alone, so a row's value does not depend on the rows predicted with
+        it.
+        """
         X = np.asarray(X, dtype=np.float64)
-        n = X.shape[0]
-        cols = []
-        for a in range(self.n_actions):
-            onehot = np.zeros((n, self.n_actions))
-            onehot[:, a] = 1.0
-            cols.append(self.regressor.predict(np.hstack([X, onehot])))
-        return np.stack(cols, axis=1)
+        (n, width), m = X.shape, self.n_actions
+        out = np.empty((n, m))
+        step = max(1, _Q_BLOCK_ROWS // m)
+        for start in range(0, n, step):
+            block = X[start:start + step]
+            stacked = np.zeros((len(block), m, width + m))
+            stacked[:, :, :width] = block[:, None, :]
+            stacked[:, :, width:] = np.eye(m)
+            out[start:start + step] = self.regressor.predict(
+                stacked.reshape(-1, width + m)).reshape(-1, m)
+        return out
 
     def q_values(self, X: np.ndarray, actions: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
@@ -176,7 +190,7 @@ def _state_actions(corpus: Corpus) -> np.ndarray:
                       _one_hot(corpus.A, len(corpus.header.action_set))])
 
 
-def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
+def fitted_q_iteration(corpus: Corpus | FqeProblem, cfg: FittedQConfig,
                        iteration_hook: Callable[
                            [int, np.ndarray, ExtraTreesRegressor], None]
                        | None = None) -> QModel:
@@ -187,10 +201,12 @@ def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
     regressor's action maximum, then refits the ensemble from scratch.
     ``iteration_hook`` (if given) receives each iteration's number, target
     array and fitted ensemble, e.g. for convergence monitoring.  The first
-    ensemble is the one ``first_fqe_ensemble`` fits on the same corpus.
+    ensemble is the one ``first_fqe_ensemble`` fits on the same corpus,
+    which may be given as its ``FqeProblem``.
     """
-    X_sa, header = _state_actions(corpus), corpus.header
-    term, r = corpus.terminal, corpus.rewards()
+    problem = FqeProblem.of(corpus)
+    corpus, r = problem.corpus, problem.r
+    header, term = corpus.header, corpus.terminal
     S_next_open = corpus.S_next[~term]
     Q = np.zeros(len(corpus))
     model: QModel | None = None
@@ -201,8 +217,7 @@ def fitted_q_iteration(corpus: Corpus, cfg: FittedQConfig,
             q_max = model.q_matrix(S_next_open).max(axis=1)
         Q[term] = r[term]
         Q[~term] = r[~term] + cfg.gamma * q_max
-        reg = ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                  seed=(cfg.seed, l)).fit(X_sa, Q)
+        reg = problem.fit(Q, l, cfg)
         if iteration_hook is not None:
             iteration_hook(l, Q.copy(), reg)
         model = QModel(reg, header.action_set, header.feature_names,
@@ -312,27 +327,38 @@ def policy_next_actions(policy: BatchPolicy, corpus: Corpus) -> np.ndarray:
     return pi_next
 
 
-def _fqe_problem(corpus: Corpus, cfg: FittedQConfig):
-    """``(targets, fit)`` of off-policy evaluation on ``corpus``:
-    ``targets(q_pi)`` is ``r + gamma * q_pi`` with the successor values
-    ``q_pi`` at the open rows, and ``fit(Q, l)`` fits iteration ``l``'s
-    ensemble on the logged state-actions."""
-    X_sa, r = _state_actions(corpus), corpus.rewards()
-    open_rows = ~corpus.terminal
+@dataclass(frozen=True, eq=False)
+class FqeProblem:
+    """The regression inputs that fitted-Q and off-policy evaluation read
+    of one corpus, built once: the logged state-actions and the rewards.
+    Every fit on the corpus, and every policy evaluated on it, shares them.
+    """
 
-    def targets(q_pi: np.ndarray) -> np.ndarray:
-        Q = r.copy()
-        Q[open_rows] += cfg.gamma * q_pi
+    corpus: Corpus
+    X_sa: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, data: "Corpus | FqeProblem") -> "FqeProblem":
+        if isinstance(data, FqeProblem):
+            return data
+        return cls(data, _state_actions(data), data.rewards())
+
+    def targets(self, q_pi: np.ndarray, gamma: float) -> np.ndarray:
+        """``r + gamma * q_pi`` with the successor values ``q_pi`` at the
+        open (non-terminal) rows."""
+        Q = self.r.copy()
+        Q[~self.corpus.terminal] += gamma * q_pi
         return Q
 
-    def fit(Q: np.ndarray, l: int) -> ExtraTreesRegressor:
+    def fit(self, Q: np.ndarray, l: int,
+            cfg: FittedQConfig) -> ExtraTreesRegressor:
+        """Iteration ``l``'s ensemble on the logged state-actions."""
         return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                   seed=(cfg.seed, l)).fit(X_sa, Q)
-
-    return targets, fit
+                                   seed=(cfg.seed, l)).fit(self.X_sa, Q)
 
 
-def first_fqe_ensemble(corpus: Corpus,
+def first_fqe_ensemble(corpus: Corpus | FqeProblem,
                        cfg: FittedQConfig) -> ExtraTreesRegressor:
     """The first ensemble of ``fitted_q_evaluation`` on ``corpus``.
 
@@ -340,12 +366,13 @@ def first_fqe_ensemble(corpus: Corpus,
     logged state-actions with seed ``(cfg.seed, 1)``, so no evaluated
     policy changes it; ``fitted_q_iteration`` fits the same ensemble first.
     """
-    targets, fit = _fqe_problem(corpus, cfg)
-    return fit(targets(np.zeros(int((~corpus.terminal).sum()))), 1)
+    problem = FqeProblem.of(corpus)
+    n_open = int((~problem.corpus.terminal).sum())
+    return problem.fit(problem.targets(np.zeros(n_open), cfg.gamma), 1, cfg)
 
 
-def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
-                        cfg: FittedQConfig,
+def fitted_q_evaluation(corpus: Corpus | FqeProblem,
+                        pi_nexts: Sequence[np.ndarray], cfg: FittedQConfig,
                         first: ExtraTreesRegressor | None = None
                         ) -> list[float]:
     """Off-policy value estimates of several policies on one corpus.
@@ -354,7 +381,8 @@ def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
     each evaluated policy's own choice at the successor states (one array of
     ``pi_nexts`` per policy, see ``policy_next_actions``) and returns, per
     policy, the mean of the first-turn targets after ``cfg.l_max``
-    iterations.
+    iterations.  ``corpus`` may be given as its ``FqeProblem``, which
+    callers evaluating many policies build once.
 
     Iteration ``l`` computes targets from the ensemble fitted at ``l - 1``
     (seed ``(cfg.seed, l - 1)``) and fits only while a later iteration
@@ -366,21 +394,22 @@ def fitted_q_evaluation(corpus: Corpus, pi_nexts: Sequence[np.ndarray],
     ``fitted_q_iteration``'s equal first one) replaces that fit, leaving
     ``P * (l_max - 2)``.
     """
-    targets, fit = _fqe_problem(corpus, cfg)
+    problem = FqeProblem.of(corpus)
+    corpus = problem.corpus
     S_next_open = corpus.S_next[~corpus.terminal]
-    Q_first = targets(np.zeros(len(S_next_open)))
+    Q_first = problem.targets(np.zeros(len(S_next_open)), cfg.gamma)
     if cfg.l_max == 1:
         return [float(Q_first[corpus.starts].mean())] * len(pi_nexts)
-    reg_first = fit(Q_first, 1) if first is None else first
+    reg_first = problem.fit(Q_first, 1, cfg) if first is None else first
     values = []
     for pi_next in pi_nexts:
         X_next_pi = np.hstack([S_next_open, _one_hot(
             pi_next, len(corpus.header.action_set))])
         reg = reg_first
         for l in range(2, cfg.l_max + 1):
-            Q = targets(reg.predict(X_next_pi))
+            Q = problem.targets(reg.predict(X_next_pi), cfg.gamma)
             if l < cfg.l_max:
-                reg = fit(Q, l)
+                reg = problem.fit(Q, l, cfg)
         values.append(float(Q[corpus.starts].mean()))
     return values
 

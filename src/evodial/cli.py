@@ -188,14 +188,14 @@ _DM_NAMES = ("GA-NPoints", "GA-QVal", "SL-Original", "SL-MaxQ",
 def _round_job(shared, job):
     """One pool job of a train-corpus round, on split ``job[1]``: the
     behaviour classifier, a first FQE ensemble, or one policy's FQE."""
-    splits, cfg = shared
+    problems, cfg = shared
     kind, split, *args = job
     if kind == "classifier":
-        return batch_rl.fit_action_classifier(splits[split], cfg)
+        return batch_rl.fit_action_classifier(problems[split].corpus, cfg)
     if kind == "first":
-        return batch_rl.first_fqe_ensemble(splits[split], cfg)
+        return batch_rl.first_fqe_ensemble(problems[split], cfg)
     pi_next, first = args
-    return batch_rl.fitted_q_evaluation(splits[split], [pi_next], cfg,
+    return batch_rl.fitted_q_evaluation(problems[split], [pi_next], cfg,
                                         first)[0]
 
 
@@ -205,10 +205,13 @@ def _corpus_round(splits, ast, fq_cfg, qv_cfg, ga_cfg):
     Returns each policy's FQE scores ``[train, test]`` by name, collected
     in ``_DM_NAMES`` order, and the corpus GAs' parameters.  Each job goes
     to the pool as soon as its inputs exist, while the parent fits the
-    Q-model and then runs the GAs.
+    Q-model and then runs the GAs.  Each split's ``FqeProblem`` is built
+    once, before the pool starts, and serves fitted-Q and all of the
+    split's FQE jobs.
     """
     train, header = splits[0], splits[0].header
-    with evolution.worker_map(_round_job, (splits, fq_cfg),
+    problems = [batch_rl.FqeProblem.of(split) for split in splits]
+    with evolution.worker_map(_round_job, (problems, fq_cfg),
                               _workers()) as map_jobs:
         early = map_jobs([("classifier", 0)] + (
             [("first", 1)] if fq_cfg.l_max > 1 else []))
@@ -219,7 +222,7 @@ def _corpus_round(splits, ast, fq_cfg, qv_cfg, ga_cfg):
             if l == 1 < fq_cfg.l_max:
                 firsts[0] = reg
 
-        q = batch_rl.fitted_q_iteration(train, fq_cfg, keep_first)
+        q = batch_rl.fitted_q_iteration(problems[0], fq_cfg, keep_first)
         clf = next(early)
         if fq_cfg.l_max > 1:
             firsts[1] = next(early)

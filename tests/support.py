@@ -1,7 +1,8 @@
 """Shared test machinery: grammar-level template generators, the row-wise
-state variables and the record-by-record corpus writer as oracles, enumerable
-MDP corpora with exact dynamic-programming oracles, and a robust peak
-estimator for heavily skewed samples."""
+state variables, the structured-view row grouping and the record-by-record
+corpus writer as oracles, enumerable MDP corpora with exact
+dynamic-programming oracles, and a robust peak estimator for heavily skewed
+samples."""
 from __future__ import annotations
 
 import json
@@ -110,6 +111,25 @@ def variables_from_features(vec: np.ndarray, names: Sequence[str]) -> dict[str, 
     for name in _BOOL_FEATURES:
         out[name] = bool(vec[idx[name]] > 0.5)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Structured-view row grouping: the oracle of ``trees._dedup``
+# ---------------------------------------------------------------------------
+
+def dedup_by_unique(X: np.ndarray, y: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Unique rows of ``[X | y]`` plus multiplicities, in first-seen order,
+    by ``np.unique`` over a structured view of the rows."""
+    stacked = np.ascontiguousarray(np.column_stack([X, y.astype(np.float64)]))
+    flat = stacked.view([("", stacked.dtype)] * stacked.shape[1]).ravel()
+    _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    order = first[by_first]
+    remap = np.empty(len(first), dtype=np.int64)  # sorted pos -> dense id
+    remap[by_first] = np.arange(len(first))
+    counts = np.bincount(remap[inverse], minlength=len(order)).astype(np.float64)
+    return stacked[order], counts
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,7 @@ def test_criterion_07_fitness_brute_force_equivalence():
                f"{qval:.3f} match brute force; delta 0/1 identities exact")
 
 
+@pytest.mark.slow
 def test_criterion_08_simulation_ordering():
     start = time.perf_counter()
     seeds = 30
@@ -353,6 +354,7 @@ def test_criterion_11_dsl_round_trip():
                 f"rejected ({positioned} with positions)")
 
 
+@pytest.mark.slow
 def test_criterion_12_on_corpus_pipeline():
     start = time.perf_counter()
     gen_params = (0.3, 0.8, 0.5)

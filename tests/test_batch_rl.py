@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
-                              MalformedEpisode, ModelSchemaError, QModel,
-                              QValConfig, build_comparison_dms,
+                              FqeProblem, MalformedEpisode, ModelSchemaError,
+                              QModel, QValConfig, build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
                               fitness_npoints, fitness_qval,
                               first_fqe_ensemble, fitted_q_evaluation,
@@ -65,6 +65,19 @@ def test_fitted_q_matches_value_iteration(chain_q):
             truth = exact[(s_name, a_name)]
             assert q_hat[a_idx] == pytest.approx(truth, rel=0.05), \
                 f"Q({s_name},{a_name})"
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 37, 2100])
+def test_q_matrix_equals_per_action_predictions(chain_q, n_rows):
+    # 2100 states of two actions take two predict passes
+    X = np.random.default_rng(n_rows).integers(
+        0, 2, (n_rows, len(CHAIN_FEATURES))).astype(np.float64)
+    n_act = chain_q.n_actions
+    columns = [chain_q.regressor.predict(np.hstack([
+        X, np.tile(np.eye(n_act)[a], (n_rows, 1))])) for a in range(n_act)]
+    q = chain_q.q_matrix(X)
+    assert q.shape == (n_rows, n_act)
+    assert np.array_equal(q, np.stack(columns, axis=1))
 
 
 def test_greedy_ties_break_to_lowest_index():
@@ -475,6 +488,22 @@ def test_fqe_multi_policy_matches_single_policy_property():
             assert values == [float(first_turn.mean())] * len(pi_nexts)
 
     check()
+
+
+@pytest.mark.parametrize("l_max", [1, 3])
+def test_fitting_a_prebuilt_problem_equals_fitting_the_corpus(l_max):
+    corpus = chain_corpus(40, rewards=FQE_PIN_REWARDS)
+    cfg = _fqe_cfg(l_max)
+    pi_nexts = [policy_next_actions(p, corpus)
+                for p in FQE_PIN_POLICIES.values()]
+    problem = FqeProblem.of(corpus)
+    assert FqeProblem.of(problem) is problem
+    assert fitted_q_evaluation(problem, pi_nexts, cfg) == \
+        fitted_q_evaluation(corpus, pi_nexts, cfg)
+    assert _tree_bytes(first_fqe_ensemble(problem, cfg)) == \
+        _tree_bytes(first_fqe_ensemble(corpus, cfg))
+    assert _tree_bytes(fitted_q_iteration(problem, cfg).regressor) == \
+        _tree_bytes(fitted_q_iteration(corpus, cfg).regressor)
 
 
 def test_empty_corpus_is_malformed():
