@@ -9,7 +9,7 @@ held-out dialogs.
 from .core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, ActionDecision,
                    DialogAct, DialogState, NBestList, RewardConfig,
                    discounted_return, featurize, feature_names,
-                   resolve_action, reward)
+                   resolve_action)
 from .dsl import (ArityMismatch, DanglingElse, MissingStateVariable,
                   StructuralParamForbidden, TemplateAst, TemplateSyntaxError,
                   UnknownIdentifier, ablate, evaluate_policy,
@@ -20,13 +20,12 @@ from .evolution import (FitnessEvaluationFailure, GaConfig, GenerationTrace,
 from .simulator import (HEURISTIC_PARAMS, NoiseConfig, Ontology,
                         SimulatedDialogEnv, SimulationFitness, SluChannel,
                         default_ontology, default_template_text,
-                        fitness_simulation, load_ontology,
-                        make_synthetic_corpus, run_episode, template_policy)
-from .batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
-                       QModel, QValConfig, build_comparison_dms,
-                       evaluate_policy_on_corpus, fit_action_classifier,
-                       fitted_q_iteration, fitness_npoints, fitness_qval,
-                       template_corpus_policy)
+                        load_ontology, make_synthetic_corpus, run_episode,
+                        template_policy)
+from .batch_rl import (CorpusFitness, FittedQConfig, QModel, QValConfig,
+                       build_comparison_dms, evaluate_policy_on_corpus,
+                       fit_action_classifier, fitted_q_iteration,
+                       fitness_npoints, fitness_qval, template_corpus_policy)
 from .corpus_io import (Corpus, CorpusHeader, ResamplePlan, load_corpus,
                         resample_splits, save_corpus)
 

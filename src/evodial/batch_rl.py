@@ -11,18 +11,15 @@ policy's starting-turn value.
 """
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import FEATURE_SCHEMA_VERSION, variable_columns_from_features
+from .core import variable_columns_from_features
 from .corpus_io import Corpus
 from .dsl import StructuralParamForbidden, TemplateAst, evaluate_policy_batch
 from .trees import ExtraTreesClassifier, ExtraTreesRegressor
-
-MODEL_FORMAT_VERSION = 1
 
 # A corpus policy maps a matrix of state features to action indices.
 BatchPolicy = Callable[[np.ndarray], np.ndarray]
@@ -33,10 +30,6 @@ _Q_BLOCK_ROWS = 4096
 
 
 class MalformedEpisode(Exception):
-    pass
-
-
-class ModelSchemaError(Exception):
     pass
 
 
@@ -76,36 +69,12 @@ def _one_hot(indices: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _save_model(path: str, kind: str, payload, feature_names, action_set,
-                schema_version: str) -> None:
-    with open(path, "wb") as fp:
-        pickle.dump({"format": MODEL_FORMAT_VERSION, "kind": kind,
-                     "schema_version": schema_version,
-                     "feature_names": tuple(feature_names),
-                     "action_set": tuple(action_set),
-                     "payload": payload}, fp)
-
-
-def _load_model(path: str, kind: str, expect_feature_names=None):
-    with open(path, "rb") as fp:
-        blob = pickle.load(fp)
-    if blob.get("format") != MODEL_FORMAT_VERSION or blob.get("kind") != kind:
-        raise ModelSchemaError(
-            f"{path} is not a version-{MODEL_FORMAT_VERSION} {kind} file")
-    if expect_feature_names is not None and \
-            tuple(expect_feature_names) != blob["feature_names"]:
-        raise ModelSchemaError(f"{path} was trained on a different feature schema")
-    return blob
-
-
 @dataclass
 class QModel:
     """Tree-ensemble action-value model over (state features, one-hot action)."""
 
     regressor: ExtraTreesRegressor
     action_set: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    schema_version: str
 
     @property
     def n_actions(self) -> int:
@@ -140,42 +109,6 @@ class QModel:
     def greedy(self, X: np.ndarray) -> np.ndarray:
         """Greedy action indices; ties resolve to the lowest action index."""
         return self.q_matrix(X).argmax(axis=1)
-
-    def save(self, path: str) -> None:
-        _save_model(path, "qmodel", self.regressor, self.feature_names,
-                    self.action_set, self.schema_version)
-
-    @classmethod
-    def load(cls, path: str, expect_feature_names=None) -> "QModel":
-        blob = _load_model(path, "qmodel", expect_feature_names)
-        return cls(blob["payload"], blob["action_set"], blob["feature_names"],
-                   blob["schema_version"])
-
-
-@dataclass
-class ActionClassifier:
-    """Behavior classifier P(a | s) fit on the observed corpus actions."""
-
-    classifier: ExtraTreesClassifier
-    action_set: tuple[str, ...]
-    feature_names: tuple[str, ...]
-    schema_version: str
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.classifier.predict_proba(np.asarray(X, dtype=np.float64))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.classifier.predict(np.asarray(X, dtype=np.float64))
-
-    def save(self, path: str) -> None:
-        _save_model(path, "classifier", self.classifier, self.feature_names,
-                    self.action_set, self.schema_version)
-
-    @classmethod
-    def load(cls, path: str, expect_feature_names=None) -> "ActionClassifier":
-        blob = _load_model(path, "classifier", expect_feature_names)
-        return cls(blob["payload"], blob["action_set"], blob["feature_names"],
-                   blob["schema_version"])
 
 
 def _require_transitions(corpus: Corpus) -> None:
@@ -220,21 +153,17 @@ def fitted_q_iteration(corpus: Corpus | FqeProblem, cfg: FittedQConfig,
         reg = problem.fit(Q, l, cfg)
         if iteration_hook is not None:
             iteration_hook(l, Q.copy(), reg)
-        model = QModel(reg, header.action_set, header.feature_names,
-                       FEATURE_SCHEMA_VERSION)
+        model = QModel(reg, header.action_set)
     return model
 
 
 def fit_action_classifier(corpus: Corpus,
-                          cfg: FittedQConfig) -> ActionClassifier:
+                          cfg: FittedQConfig) -> ExtraTreesClassifier:
     """Supervised behavior model on the observed (state, action) pairs."""
     _require_transitions(corpus)
-    action_set = corpus.header.action_set
     clf = ExtraTreesClassifier(cfg.trees, cfg.k_features, cfg.n_min,
-                               seed=(cfg.seed, 0)).fit(corpus.S, corpus.A,
-                                                       len(action_set))
-    return ActionClassifier(clf, action_set, corpus.header.feature_names,
-                            FEATURE_SCHEMA_VERSION)
+                               seed=(cfg.seed, 0))
+    return clf.fit(corpus.S, corpus.A, len(corpus.header.action_set))
 
 
 def _forbid_structural(ast: TemplateAst) -> None:
@@ -262,7 +191,7 @@ def fitness_npoints(ast: TemplateAst, params, states: np.ndarray,
 
 def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
                  feature_names: Sequence[str], q: QModel,
-                 clf: ActionClassifier, cfg: QValConfig) -> float:
+                 clf: ExtraTreesClassifier, cfg: QValConfig) -> float:
     """Sum of thresholded Q-values for the template's action choices.
 
     Actions whose behavior probability does not exceed ``delta`` (including
@@ -282,7 +211,7 @@ class CorpusFitness:
     feature_names: tuple[str, ...]
     mode: str  # 'npoints' | 'qval'
     q: QModel
-    clf: ActionClassifier | None = None
+    clf: ExtraTreesClassifier | None = None
     qcfg: QValConfig = field(default_factory=QValConfig)
 
     def __post_init__(self):
@@ -435,7 +364,7 @@ def template_corpus_policy(ast: TemplateAst, params,
     return policy
 
 
-def build_comparison_dms(q: QModel, clf: ActionClassifier,
+def build_comparison_dms(q: QModel, clf: ExtraTreesClassifier,
                          cfg: QValConfig) -> dict[str, BatchPolicy]:
     """The three reference corpus policies.
 

@@ -27,7 +27,7 @@ EXIT_NUMERIC = 5
 
 _PARSE_ERRORS = (dsl.TemplateError, corpus_io.CorpusParseError)
 _DATA_ERRORS = (corpus_io.SchemaMismatch, corpus_io.MissingTerminal,
-                batch_rl.MalformedEpisode, batch_rl.ModelSchemaError)
+                batch_rl.MalformedEpisode)
 _NUMERIC_ERRORS = (evolution.FitnessEvaluationFailure,)
 
 
@@ -63,8 +63,10 @@ def _parse_levels(text: str) -> tuple[float, ...]:
 def _parse_ablate(text: str) -> list[int]:
     ids = []
     for part in text.split(","):
-        part = part.strip().lower().lstrip("c")
-        ids.append(int(part))
+        clause = int(part.strip().lower().lstrip("c"))
+        if clause in ids:
+            raise ValueError(f"--ablate names clause c{clause} twice")
+        ids.append(clause)
     return ids
 
 

@@ -102,7 +102,7 @@ class DialogState:
         scores = sorted(self.slot_beliefs[slot].values(), reverse=True)
         return scores[1] if len(scores) > 1 else 0.0
 
-    def variables(self, max_turns: int = DEFAULT_MAX_TURNS) -> dict[str, float | bool]:
+    def variables(self) -> dict[str, float | bool]:
         """Named state variables available to policy templates."""
         tops = [top[1] if top else 0.0 for top in self.tops.values()]
         n = len(tops) or 1
@@ -115,7 +115,7 @@ class DialogState:
             "min_slot_score": min(tops) if tops else 0.0,
             "max_slot_score": max(tops) if tops else 0.0,
             "filled_frac": sum(1 for t in tops if t > 0.5) / n,
-            "turn_frac": min(self.turn_index / max_turns, 1.0),
+            "turn_frac": min(self.turn_index / DEFAULT_MAX_TURNS, 1.0),
         }
 
 
@@ -152,23 +152,6 @@ SIM_REWARDS = RewardConfig(per_turn=-1.0, correct_offer=100.0,
                            duplicate_offer=-5.0, wrong_offer=-5.0, gamma=0.9)
 CORPUS_REWARDS = RewardConfig(per_turn=-10.0, correct_offer=100.0,
                               duplicate_offer=-50.0, wrong_offer=-100.0, gamma=0.9)
-
-
-def reward(s: DialogState, a: str, s_next: DialogState, cfg: RewardConfig) -> float:
-    """Per-turn reward plus the offer bonus/penalty recorded on ``s_next``.
-
-    The offer outcome annotation is only ever set on the state directly
-    following an offer turn, so non-offer turns yield ``per_turn`` alone.
-    """
-    r = cfg.per_turn
-    outcome = s_next.last_offer_outcome
-    if outcome == OFFER_CORRECT:
-        r += cfg.correct_offer
-    elif outcome == OFFER_DUPLICATE:
-        r += cfg.duplicate_offer
-    elif outcome == OFFER_WRONG:
-        r += cfg.wrong_offer
-    return r
 
 
 def discounted_return(rewards: Sequence[float], gamma: float) -> float:
@@ -208,7 +191,7 @@ def resolve_action(act: str, state: DialogState,
 
 
 # ---------------------------------------------------------------------------
-# Feature layout (versioned; serialized corpora and trained models embed it)
+# Feature layout (versioned; serialized corpora embed it)
 # ---------------------------------------------------------------------------
 
 _BOOL_FEATURES = ("dialog_begin", "slu_empty", "slot_denied", "require_more_pending")
@@ -229,8 +212,7 @@ def feature_names(slots: Sequence[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-def featurize(state: DialogState, slots: Sequence[str],
-              max_turns: int = DEFAULT_MAX_TURNS) -> np.ndarray:
+def featurize(state: DialogState, slots: Sequence[str]) -> np.ndarray:
     """Project a DialogState onto the versioned feature vector."""
     vals: list[float] = []
     for slot in slots:
@@ -245,7 +227,7 @@ def featurize(state: DialogState, slots: Sequence[str],
     vals.append(float(state.last_offer_outcome == OFFER_CORRECT))
     vals.append(float(state.last_offer_outcome == OFFER_DUPLICATE))
     vals.append(float(state.last_offer_outcome == OFFER_WRONG))
-    vals.append(min(state.turn_index / max_turns, 1.0))
+    vals.append(min(state.turn_index / DEFAULT_MAX_TURNS, 1.0))
     return np.asarray(vals, dtype=np.float64)
 
 

@@ -1,14 +1,15 @@
 """Corpus files: JSON-lines serialization, validation and resampling.
 
 Line 1 is a header object ``{schema_version, feature_names, action_set,
-reward_config}``, its names and action labels lists of distinct strings;
-every following line is one transition ``{dialog_id, turn,
-s, a, s_next, terminal}`` with the feature vectors as float lists.  Floats
-are written with 17 significant digits so that save(load(f)) is
-byte-identical for canonical files.  Transitions of one dialog are
-contiguous, turn numbers consecutive, and the dialog's last transition is its
-single terminal one.  Every feature and reward value is finite.  In memory
-a corpus is one :class:`Corpus`, checked once when it is built.
+reward_config}``, its names and action labels lists of distinct strings and
+its reward configuration one JSON number per field; every following line is
+one transition ``{dialog_id, turn, s, a, s_next, terminal}`` with the
+feature vectors as float lists.  Floats are written with 17 significant
+digits so that save(load(f)) is byte-identical for canonical files.
+Transitions of one dialog are contiguous, turn numbers consecutive, and the
+dialog's last transition is its single terminal one.  Every feature and
+reward value is finite.  In memory a corpus is one :class:`Corpus`, checked
+once when it is built.
 """
 from __future__ import annotations
 
@@ -142,7 +143,8 @@ class Corpus:
         return len(self.starts)
 
     def rewards(self) -> np.ndarray:
-        """Per-row ``core.reward``, read off the offer flags of ``S_next``."""
+        """Per-row reward: ``per_turn`` plus the offer outcome read off the
+        offer flags of ``S_next``."""
         names, rc = self.header.feature_names, self.header.reward_config
         self.header.require_columns(REWARD_COLUMNS)
         flags = [self.S_next[:, names.index(column)] > 0.5
@@ -227,15 +229,27 @@ def _labels(obj: dict, key: str, line: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
+def _reward_config(obj: dict, line: int) -> RewardConfig:
+    """``obj["reward_config"]``, a number for each RewardConfig field and
+    no other key."""
+    rc, keys = obj["reward_config"], [f.name for f in fields(RewardConfig)]
+    # exact types, as for the records: a cast would read "-10" as -10.0
+    # and true as 1.0
+    if not (type(rc) is dict and sorted(rc) == sorted(keys)
+            and all(type(rc[key]) in (int, float) for key in keys)):
+        raise CorpusParseError(f"bad header: reward_config must map "
+                               f"{', '.join(keys)} to numbers, and nothing "
+                               f"else", line)
+    return RewardConfig(*(float(rc[key]) for key in keys))
+
+
 def _parse_header(obj: dict, line: int) -> CorpusHeader:
     try:
         version = obj["schema_version"]
         names = _labels(obj, "feature_names", line)
         actions = _labels(obj, "action_set", line)
-        rc = obj["reward_config"]
-        rewards = RewardConfig(*(float(rc[f.name])
-                                 for f in fields(RewardConfig)))
-    except (KeyError, TypeError, ValueError) as exc:
+        rewards = _reward_config(obj, line)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusParseError(f"bad header: {exc}", line) from None
     if not np.isfinite(astuple(rewards)).all():
         raise CorpusParseError("non-finite reward value in the header", line)

@@ -74,20 +74,6 @@ class GaConfig:
     mu_mut: float = 0.25
     seed: int = 0
     convergence_window: int | None = 10
-    crossover_style: str = "uniform"  # or "single_point"
-
-    def to_dict(self) -> dict:
-        return {"n_pop": self.n_pop, "n_mut": self.n_mut, "t_max": self.t_max,
-                "k": self.k, "sigma": self.sigma, "mu_mut": self.mu_mut,
-                "seed": self.seed,
-                "convergence_window": self.convergence_window,
-                "crossover_style": self.crossover_style}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GaConfig":
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
 
     def validate(self) -> None:
         if self.n_pop < 1:
@@ -104,8 +90,6 @@ class GaConfig:
             raise InvalidConfig("t_max must be >= 0")
         if self.convergence_window is not None and self.convergence_window < 1:
             raise InvalidConfig("convergence_window must be >= 1 or None")
-        if self.crossover_style not in ("uniform", "single_point"):
-            raise InvalidConfig(f"unknown crossover style {self.crossover_style!r}")
 
 
 @dataclass(frozen=True)
@@ -160,19 +144,13 @@ def mutate(ind: Individual, sigma: float, mu_mut: float,
     return Individual(genome)
 
 
-def crossover(a: Individual, b: Individual, rng: np.random.Generator,
-              style: str = "uniform") -> Individual:
-    """Child genome from two parents; uniform per-gene exchange by default."""
+def crossover(a: Individual, b: Individual,
+              rng: np.random.Generator) -> Individual:
+    """Child genome from two parents by uniform per-gene exchange."""
     if a.genome.shape != b.genome.shape:
         raise GenomeLengthMismatch(
             f"parent genomes differ in length: {a.genome.shape} vs {b.genome.shape}")
-    n = len(a.genome)
-    if style == "single_point":
-        if n < 2:
-            return Individual(a.genome.copy())
-        point = int(rng.integers(1, n))
-        return Individual(np.concatenate([a.genome[:point], b.genome[point:]]))
-    mask = rng.random(n) < 0.5
+    mask = rng.random(len(a.genome)) < 0.5
     return Individual(np.where(mask, a.genome, b.genome))
 
 
@@ -302,7 +280,7 @@ def run_ga(fitness: FitnessFunction, cfg: GaConfig,
             for _ in range(cfg.n_pop - cfg.n_mut - 1):
                 p1 = tournament_select(pop, cfg.k, ops)
                 p2 = tournament_select(pop, cfg.k, ops)
-                child = crossover(p1, p2, ops, cfg.crossover_style)
+                child = crossover(p1, p2, ops)
                 next_pop.append(mutate(child, cfg.sigma, cfg.mu_mut, ops))
             pop = next_pop
             _evaluate_population(pop, cfg.seed, t, map_jobs)

@@ -51,12 +51,13 @@ class Ontology:
 def _parse_ontology(text: str, source: str) -> Ontology:
     data = json.loads(text)
     slots = data.get("slots") if isinstance(data, dict) else None
-    if not isinstance(slots, dict) or not all(
+    if not isinstance(slots, dict) or not slots or not all(
             isinstance(values, list) and values
             and all(isinstance(v, str) for v in values)
             for values in slots.values()):
         raise ValueError(f'{source}: expected {{"slots": {{slot: [value, '
-                         f'...]}}}} with at least one string value per slot')
+                         f'...]}}}} with at least one slot and at least one '
+                         f'string value per slot')
     # a corpus header must name each feature once
     names = feature_names(tuple(slots))
     for i, name in enumerate(names):
@@ -418,9 +419,6 @@ class SimulationFitness:
     rewards: RewardConfig
     n_episodes: int = 16
     schedule: tuple[float, ...] = DEFAULT_NOISE_SCHEDULE
-    nbest_size: int = 3
-    max_turns: int = DEFAULT_MAX_TURNS
-    patience: int = DEFAULT_PATIENCE
 
     def __post_init__(self):
         _check_episodes(self.n_episodes)
@@ -430,9 +428,7 @@ class SimulationFitness:
         return self.ast.param_count
 
     def evaluate(self, genome: np.ndarray, rng: np.random.Generator) -> float:
-        env = SimulatedDialogEnv(
-            self.ontology, NoiseConfig(0.0, nbest_size=self.nbest_size),
-            self.rewards, self.max_turns, self.patience)
+        env = SimulatedDialogEnv(self.ontology, NoiseConfig(0.0), self.rewards)
         policy = template_policy(self.ast, genome)
         levels = rng.integers(0, len(self.schedule), size=self.n_episodes)
         total = 0.0
@@ -441,18 +437,6 @@ class SimulationFitness:
                               error_rate=self.schedule[int(levels[i])])
             total += log.discounted_reward
         return total / self.n_episodes
-
-
-def fitness_simulation(ast: TemplateAst, params: Sequence[float],
-                       n_episodes: int, noise_schedule: Sequence[float],
-                       rewards: RewardConfig, seed: int,
-                       ontology: Ontology | None = None, **env_kwargs) -> float:
-    """One-shot simulation fitness for a bound template (Eq. 1 style mean)."""
-    fitness = SimulationFitness(ast, ontology or default_ontology(), rewards,
-                                n_episodes=n_episodes,
-                                schedule=tuple(noise_schedule), **env_kwargs)
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    return fitness.evaluate(np.asarray(params, dtype=np.float64), rng)
 
 
 @dataclass
@@ -475,8 +459,7 @@ class EvalResult:
 
 
 def exploring_policy(base: Policy, epsilon: float, rng: random.Random,
-                     action_set: Sequence[str],
-                     offer_threshold: float = 0.5) -> Policy:
+                     action_set: Sequence[str]) -> Policy:
     """Mix a base policy with uniform random actions (behavior-policy noise).
 
     Used when bootstrapping corpora: a strictly deterministic generator would
@@ -485,8 +468,7 @@ def exploring_policy(base: Policy, epsilon: float, rng: random.Random,
 
     def policy(state: DialogState) -> ActionDecision:
         if rng.random() < epsilon:
-            return resolve_action(rng.choice(list(action_set)), state,
-                                  offer_threshold=offer_threshold)
+            return resolve_action(rng.choice(list(action_set)), state)
         return base(state)
 
     return policy
@@ -496,9 +478,7 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
                           ontology: Ontology, n_episodes: int, seed: int,
                           rewards: RewardConfig,
                           schedule: Sequence[float] = DEFAULT_NOISE_SCHEDULE,
-                          epsilon: float = 0.0, nbest_size: int = 3,
-                          max_turns: int = DEFAULT_MAX_TURNS,
-                          patience: int = DEFAULT_PATIENCE) -> Corpus:
+                          epsilon: float = 0.0) -> Corpus:
     """Generate a corpus by running a templated behavior policy.
 
     Each episode becomes one dialog (its index is the dialog id) whose rows
@@ -507,8 +487,7 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
     _check_episodes(n_episodes)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"exploration rate epsilon must lie in [0, 1], got {epsilon}")
-    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),
-                             rewards, max_turns, patience)
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
     base = template_policy(ast, params)
     master = np.random.default_rng(np.random.SeedSequence([seed]))
     levels = master.integers(0, len(schedule), size=n_episodes)
@@ -520,7 +499,7 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
         log = run_episode(policy, env, _episode_rng(master),
                           error_rate=schedule[int(levels[i])])
         visited = [t.state for t in log.turns] + [log.final_state]
-        states = [featurize(s, ontology.slots, max_turns) for s in visited]
+        states = [featurize(s, ontology.slots) for s in visited]
         rows += [(i, j, states[j], ACTIONS.index(t.decision.act),
                   states[j + 1], j == len(log.turns) - 1)
                  for j, t in enumerate(log.turns)]
@@ -534,16 +513,13 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
 def evaluate_policy_sim(policy: Policy, ontology: Ontology,
                         rewards: RewardConfig, n_episodes: int, seed: int,
                         error_rate: float | None = None,
-                        schedule: Sequence[float] = DEFAULT_NOISE_SCHEDULE,
-                        nbest_size: int = 3,
-                        max_turns: int = DEFAULT_MAX_TURNS,
-                        patience: int = DEFAULT_PATIENCE) -> EvalResult:
+                        schedule: Sequence[float] = DEFAULT_NOISE_SCHEDULE
+                        ) -> EvalResult:
     """Test a policy over seeded episodes; fixed ``error_rate`` overrides the
     mixed-noise schedule.  Identical seeds yield identical episode streams,
     which pairs the comparison when two policies are tested with one seed."""
     _check_episodes(n_episodes)
-    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0, nbest_size=nbest_size),
-                             rewards, max_turns, patience)
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
     master = np.random.default_rng(np.random.SeedSequence([seed]))
     levels = master.integers(0, len(schedule), size=n_episodes)
     rews = np.zeros(n_episodes)

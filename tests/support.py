@@ -1,8 +1,8 @@
 """Shared test machinery: grammar-level template generators, the row-wise
-state variables, the structured-view row grouping and the record-by-record
-corpus writer as oracles, enumerable MDP corpora with exact
-dynamic-programming oracles, and a robust peak estimator for heavily skewed
-samples."""
+state variables, the per-state reward, the structured-view row grouping and
+the record-by-record corpus writer as oracles, a one-shot simulation
+fitness, enumerable MDP corpora with exact dynamic-programming oracles, and
+a robust peak estimator for heavily skewed samples."""
 from __future__ import annotations
 
 import json
@@ -12,10 +12,13 @@ from typing import Sequence
 
 import numpy as np
 
-from evodial.core import _BOOL_FEATURES, RewardConfig, _schema_slots
+from evodial.core import (_BOOL_FEATURES, OFFER_CORRECT, OFFER_DUPLICATE,
+                          OFFER_WRONG, DialogState, RewardConfig,
+                          _schema_slots)
 from evodial.corpus_io import Corpus, CorpusHeader, _g17
 from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
                          StateSchema, TemplateAst)
+from evodial.simulator import Ontology, SimulationFitness, default_ontology
 
 # ---------------------------------------------------------------------------
 # Random templates over the policy grammar
@@ -111,6 +114,40 @@ def variables_from_features(vec: np.ndarray, names: Sequence[str]) -> dict[str, 
     for name in _BOOL_FEATURES:
         out[name] = bool(vec[idx[name]] > 0.5)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Per-state reward: the oracle of ``Corpus.rewards``; one-shot simulation
+# fitness
+# ---------------------------------------------------------------------------
+
+def reward(s: DialogState, a: str, s_next: DialogState, cfg: RewardConfig) -> float:
+    """Per-turn reward plus the offer bonus/penalty recorded on ``s_next``.
+
+    The offer outcome annotation is only ever set on the state directly
+    following an offer turn, so non-offer turns yield ``per_turn`` alone.
+    """
+    r = cfg.per_turn
+    outcome = s_next.last_offer_outcome
+    if outcome == OFFER_CORRECT:
+        r += cfg.correct_offer
+    elif outcome == OFFER_DUPLICATE:
+        r += cfg.duplicate_offer
+    elif outcome == OFFER_WRONG:
+        r += cfg.wrong_offer
+    return r
+
+
+def fitness_simulation(ast: TemplateAst, params: Sequence[float],
+                       n_episodes: int, noise_schedule: Sequence[float],
+                       rewards: RewardConfig, seed: int,
+                       ontology: Ontology | None = None) -> float:
+    """One-shot simulation fitness for a bound template (Eq. 1 style mean)."""
+    fitness = SimulationFitness(ast, ontology or default_ontology(), rewards,
+                                n_episodes=n_episodes,
+                                schedule=tuple(noise_schedule))
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    return fitness.evaluate(np.asarray(params, dtype=np.float64), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ class _UniformProbs:
 
 
 def test_criterion_07_fitness_brute_force_equivalence():
-    from evodial.batch_rl import ActionClassifier, QModel
+    from evodial.batch_rl import QModel
     from evodial.trees import ExtraTreesClassifier, ExtraTreesRegressor
 
     rng = np.random.default_rng(7)
@@ -198,10 +198,8 @@ def test_criterion_07_fitness_brute_force_equivalence():
     targets = states[:, 0] * 20 - 10 + actions
     reg = ExtraTreesRegressor(25, None, 4, seed=1).fit(
         np.hstack([states, np.eye(3)[actions]]), targets)
-    q = QModel(reg, SYN_SCHEMA.actions, SYN_FEATURES, "dlg-v1")
-    clf = ActionClassifier(
-        ExtraTreesClassifier(25, None, 4, seed=2).fit(states, actions, 3),
-        SYN_SCHEMA.actions, SYN_FEATURES, "dlg-v1")
+    q = QModel(reg, SYN_SCHEMA.actions)
+    clf = ExtraTreesClassifier(25, None, 4, seed=2).fit(states, actions, 3)
     ast = parse_template(
         "if top_slu_score < p0 then A1 else if slot_denied then A2 else A0",
         SYN_SCHEMA)

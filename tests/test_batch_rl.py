@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from evodial.batch_rl import (ActionClassifier, CorpusFitness, FittedQConfig,
-                              FqeProblem, MalformedEpisode, ModelSchemaError,
-                              QModel, QValConfig, build_comparison_dms,
+from evodial.batch_rl import (CorpusFitness, FittedQConfig, FqeProblem,
+                              MalformedEpisode, QModel, QValConfig,
+                              build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
                               fitness_npoints, fitness_qval,
                               first_fqe_ensemble, fitted_q_evaluation,
@@ -85,7 +85,7 @@ def test_greedy_ties_break_to_lowest_index():
         def predict(self, X):
             return np.zeros(len(X))
 
-    q = QModel(Constant(), ("x", "y"), ("f0",), "dlg-v1")
+    q = QModel(Constant(), ("x", "y"))
     q.regressor = Constant()
     acts = q.greedy(np.zeros((5, 1)))
     assert np.array_equal(acts, np.zeros(5))
@@ -145,12 +145,9 @@ def _fitted_models(rng, states):
     actions = rng.integers(0, 3, len(states))
     X_sa = np.hstack([states, np.eye(3)[actions]])
     reg = ExtraTreesRegressor(25, None, 4, seed=1).fit(X_sa, targets)
-    q = QModel(reg, SYN_SCHEMA.actions, SYN_FEATURES, "dlg-v1")
+    q = QModel(reg, SYN_SCHEMA.actions)
     from evodial.trees import ExtraTreesClassifier
-    clf_inner = ExtraTreesClassifier(25, None, 4, seed=2).fit(
-        states, actions, 3)
-    clf = ActionClassifier(clf_inner, SYN_SCHEMA.actions, SYN_FEATURES,
-                           "dlg-v1")
+    clf = ExtraTreesClassifier(25, None, 4, seed=2).fit(states, actions, 3)
     return q, clf
 
 
@@ -316,18 +313,6 @@ def test_classifier_recovers_behavior_policy():
     assert acc >= 0.95
 
 
-def test_model_save_load_roundtrip(tmp_path, chain_q):
-    path = tmp_path / "q.model"
-    chain_q.save(str(path))
-    loaded = QModel.load(str(path), expect_feature_names=CHAIN_FEATURES)
-    grid = np.vstack(list(CHAIN_STATE_VECS.values()))
-    assert np.array_equal(loaded.q_matrix(grid), chain_q.q_matrix(grid))
-    with pytest.raises(ModelSchemaError):
-        QModel.load(str(path), expect_feature_names=("other",))
-    with pytest.raises(ModelSchemaError):
-        ActionClassifier.load(str(path))
-
-
 def test_template_corpus_policy_adapter():
     rng = np.random.default_rng(19)
     states = _syn_states(rng, 40)
@@ -345,7 +330,7 @@ def test_fitness_npoints_perfect_agreement_reaches_count():
     targets = (actions == 0).astype(float)
     X_sa = np.hstack([states, np.eye(3)[actions]])
     reg = ExtraTreesRegressor(20, None, 4, seed=6).fit(X_sa, targets)
-    q = QModel(reg, SYN_SCHEMA.actions, SYN_FEATURES, "dlg-v1")
+    q = QModel(reg, SYN_SCHEMA.actions)
     assert np.array_equal(q.greedy(states), np.zeros(len(states)))
     always_a0 = _syn_template("A0")
     assert fitness_npoints(always_a0, [], states, SYN_FEATURES, q) == len(states)

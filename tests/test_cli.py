@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import json
+import math
 import multiprocessing
 import pickle
 import pkgutil
@@ -381,6 +382,11 @@ def _repeat_first(key):
     return edit
 
 
+_REWARD_TYPES = ("bad header: reward_config must map per_turn, "
+                 "correct_offer, duplicate_offer, wrong_offer, gamma to "
+                 "numbers, and nothing else (line 1)")
+
+
 @pytest.mark.parametrize("command", ["train-corpus", "evaluate"])
 @pytest.mark.parametrize("edit, code, message", [
     (_set_item("action_set", 0, {"x": 1}), 3,
@@ -397,9 +403,13 @@ def _repeat_first(key):
      "the corpus has no 'top_food' feature column"),
     (_rename_feature("offer_wrong", "wrong_offer"), 4,
      "the corpus has no 'offer_wrong' feature column"),
+    (_set_item("reward_config", "per_turn", "-10"), 3, _REWARD_TYPES),
+    (_set_item("reward_config", "gamma", True), 3, _REWARD_TYPES),
+    (_set_item("reward_config", "bonus", 1.0), 3, _REWARD_TYPES),
 ], ids=["action-not-a-string", "null-feature-name", "repeated-action",
         "repeated-turn-frac", "no-top-slu-score", "no-slot-top-score",
-        "no-reward-flag"])
+        "no-reward-flag", "string-reward", "boolean-gamma",
+        "extra-reward-key"])
 def test_bad_corpus_header_exits_without_traceback(
         template_file, tmp_path, capsys, command, edit, code, message):
     corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
@@ -432,10 +442,16 @@ def test_bad_corpus_header_exits_without_traceback(
     # top_slu_score would name two features of the corpus header
     ("make-corpus", [0.3, 0.8, 0.5, 0.5],
      {"slots": {"slu_score": ["a"], "food": ["b"]}}, "shipped", 2),
+    ("train-sim", None, {"slots": {}}, "shipped", 2),
+    ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slots": {}}, "shipped", 2),
+    ("make-corpus", [0.3, 0.8, 0.5, 0.5], {"slots": {}}, "shipped", 2),
 ], ids=["params-object-without-list", "params-nan", "params-too-short",
         "make-corpus-params-too-short", "make-corpus-default-params",
         "ontology-without-slots", "ontology-slot-without-values",
-        "template-is-a-directory", "ontology-slot-named-slu-score"])
+        "template-is-a-directory", "ontology-slot-named-slu-score",
+        "train-sim-ontology-with-empty-slots",
+        "evaluate-ontology-with-empty-slots",
+        "make-corpus-ontology-with-empty-slots"])
 def test_bad_input_files_exit_without_traceback(
         template_file, tmp_path, capsys, monkeypatch, command, params,
         ontology, template, code):
@@ -520,6 +536,8 @@ def _too_early(*args, **kwargs):
     ("train-corpus", ["--sigma", "0"], "sigma"),
     ("train-corpus", ["--mu-mut", "2"], "mu_mut"),
     ("train-corpus", ["--n-mut", "100"], "n_mut"),
+    ("train-sim", ["--ablate", "c1,C1,1"], "clause c1 twice"),
+    ("evaluate", ["--ablate", "c2,c0,2"], "clause c2 twice"),
 ], ids=["train-sim-empty-noise", "evaluate-empty-noise",
         "make-corpus-empty-noise", "train-sim-noise-above-1",
         "make-corpus-noise-below-0", "train-sim-zero-episodes",
@@ -529,7 +547,8 @@ def _too_early(*args, **kwargs):
         "train-corpus-nan-punish", "make-corpus-zero-episodes",
         "pop-sweep-zero-repeats", "train-corpus-zero-pop",
         "train-corpus-zero-k", "train-corpus-zero-sigma",
-        "train-corpus-mu-mut-above-1", "train-corpus-n-mut-fills-pop"])
+        "train-corpus-mu-mut-above-1", "train-corpus-n-mut-fills-pop",
+        "train-sim-repeated-ablate", "evaluate-repeated-ablate"])
 def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
                                      monkeypatch, run, flags, topic):
     monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
@@ -554,3 +573,131 @@ def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
     assert err.startswith("error: ") and err.count("\n") == 1
     assert topic in err
     assert "Traceback" not in err
+
+
+def _fuzz_strategies(st, header):
+    """Strategies of invalid ontology texts and invalid corpus headers, the
+    latter as edits of the valid ``header``."""
+    leaves = (st.none() | st.booleans() | st.integers() | st.floats()
+              | st.text(max_size=4))
+    values = st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                          | st.dictionaries(st.text(max_size=4), inner,
+                                            max_size=3), max_leaves=6)
+    non_dict = values.filter(lambda v: not isinstance(v, dict))
+    non_list = values.filter(lambda v: not isinstance(v, list))
+    not_strings = st.lists(values, min_size=1, max_size=3).filter(
+        lambda v: not all(isinstance(x, str) for x in v))
+    slot_values = st.lists(st.text(max_size=4), min_size=1, max_size=3)
+    slots = st.dictionaries(st.text(max_size=6), slot_values, max_size=3)
+
+    def with_slot(good, name, bad):
+        return {"slots": {**good, name: bad}}
+
+    ontologies = st.one_of(
+        st.just({"slots": {}}), non_dict,
+        st.dictionaries(st.text(max_size=6).filter(lambda k: k != "slots"),
+                        values, max_size=3),
+        non_dict.map(lambda v: {"slots": v}),
+        st.builds(with_slot, slots, st.text(max_size=6),
+                  non_list | st.just([]) | not_strings),
+        st.builds(with_slot, slots, st.just("slu_score"), slot_values))
+    # a strict prefix of an object's JSON text is never valid JSON, and
+    # that of any other value never an object
+    truncated = st.builds(lambda text, cut: text[:int(len(text) * cut)],
+                          ontologies.map(json.dumps),
+                          st.floats(0, 1, exclude_max=True))
+    ontology_texts = ontologies.map(json.dumps) | truncated
+
+    reward_keys = st.sampled_from(sorted(header["reward_config"]))
+    top_keys = st.sampled_from(sorted(header))
+
+    def edited(key, sub=None, value=None, drop=False):
+        new = json.loads(json.dumps(header))
+        owner = new if sub is None else new[sub]
+        if drop:
+            del owner[key]
+        else:
+            owner[key] = value
+        return new
+
+    non_number = values.filter(lambda v: type(v) not in (int, float))
+    string_numbers = (st.integers() | st.floats()).map(str)
+    huge = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
+    bad_gamma = (st.integers() | st.floats(allow_nan=False)).filter(
+        lambda g: not 0 < g <= 1)
+    headers = st.one_of(
+        st.builds(edited, reward_keys, st.just("reward_config"),
+                  non_number | string_numbers | huge
+                  | st.sampled_from([math.nan, math.inf, -math.inf])),
+        st.builds(edited, st.just("gamma"), st.just("reward_config"),
+                  bad_gamma),
+        st.builds(edited, reward_keys, st.just("reward_config"),
+                  drop=st.just(True)),
+        st.builds(edited, st.text(max_size=6).filter(
+            lambda k: k not in header["reward_config"]),
+            st.just("reward_config"), values),
+        st.builds(edited, st.just("reward_config"), value=non_dict),
+        st.builds(edited, top_keys, drop=st.just(True)),
+        st.builds(edited, st.sampled_from(["feature_names", "action_set"]),
+                  value=non_list | not_strings),
+        st.builds(edited, st.just("schema_version"),
+                  value=values.filter(lambda v: v != "dlg-v1")),
+        non_dict)
+    return ontology_texts, headers
+
+
+def test_fuzzed_ontology_and_corpus_header_exit_without_traceback(
+        template_file, tmp_path, capsys, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    lines = _corpus_with_dialogs(template_file, tmp_path, 3).read_text() \
+        .splitlines()
+    ontology_texts, headers = _fuzz_strategies(st, json.loads(lines[0]))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    params3 = tmp_path / "params3.json"
+    params3.write_text(json.dumps([0.3, 0.8, 0.5]))
+    flat, ontology, corpus = (_flat_template(tmp_path),
+                              tmp_path / "ontology.json",
+                              tmp_path / "fuzzed.jsonl")
+    small = ["--out", str(tmp_path / "out"), "--seed", "1", "--episodes", "2",
+             "--noise", "0.1"]
+    ontology_runs = [
+        ["train-sim", "--template", str(template_file), *small, "--pop", "4",
+         "--n-mut", "1", "--k", "2", "--generations", "1"],
+        ["evaluate", "--template", str(template_file), "--params",
+         str(params), *small],
+        ["make-corpus", "--template", str(template_file), *small]]
+    corpus_runs = [
+        ["train-corpus", "--template", str(flat), "--corpus", str(corpus),
+         "--out", str(tmp_path / "out"), "--seed", "1", "--resamples", "1",
+         "--l-max", "2", "--trees", "2", "--pop", "4", "--n-mut", "1",
+         "--k", "2", "--generations", "1"],
+        ["evaluate", "--template", str(flat), "--params", str(params3),
+         "--corpus", str(corpus), "--out", str(tmp_path / "out"), "--seed",
+         "1", "--l-max", "2", "--trees", "2"]]
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(case=st.one_of(
+        ontology_texts.map(lambda text: ("ontology", text)),
+        headers.map(lambda obj: ("corpus", json.dumps(obj)))))
+    def check(case):
+        kind, text = case
+        if kind == "ontology":
+            ontology.write_text(text, encoding="utf-8")
+            runs = [argv + ["--ontology", str(ontology)]
+                    for argv in ontology_runs]
+        else:
+            corpus.write_text("\n".join([text] + lines[1:]) + "\n",
+                              encoding="utf-8")
+            runs = corpus_runs
+        for argv in runs:
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert 2 <= code <= 5, (argv[0], text, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
+    check()

@@ -4,10 +4,10 @@ import pytest
 from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, DialogAct,
                           DialogState, NBestList, RewardConfig,
                           discounted_return, feature_names, featurize,
-                          resolve_action, reward, template_feature_columns,
+                          resolve_action, template_feature_columns,
                           variable_columns_from_features)
 from evodial.corpus_io import Corpus, CorpusHeader
-from support import variables_from_features
+from support import reward, variables_from_features
 
 SLOTS = ("food", "area", "pricerange", "name")
 

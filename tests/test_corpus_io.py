@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,30 @@ def test_non_finite_header_reward_rejected(tmp_path):
     lines[0] = head + '"per_turn": NaN,' + rest.split(",", 1)[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusParseError) as err:
+        load_corpus(str(path))
+    assert err.value.line == 1
+
+
+def _replace_reward(key, value):
+    def edit(rc):
+        rc[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _replace_reward("per_turn", "-10"), _replace_reward("gamma", True),
+    _replace_reward("wrong_offer", None), _replace_reward("bonus", 1.0),
+    lambda rc: rc.pop("gamma"), _replace_reward("per_turn", 10 ** 400),
+], ids=["string-number", "boolean-gamma", "null", "extra-key",
+        "missing-key", "int-overflow"])
+def test_mistyped_header_reward_rejected(tmp_path, edit):
+    path = _write(tmp_path, chain_corpus(2))
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header["reward_config"])
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError, match="bad header") as err:
         load_corpus(str(path))
     assert err.value.line == 1
 

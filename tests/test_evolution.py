@@ -98,24 +98,12 @@ def test_crossover_preserves_length():
         a = Individual(rng.random(n))
         b = Individual(rng.random(n))
         assert len(crossover(a, b, rng).genome) == n
-        assert len(crossover(a, b, rng, style="single_point").genome) == n
 
 
 def test_crossover_length_mismatch():
     rng = np.random.default_rng(7)
     with pytest.raises(GenomeLengthMismatch):
         crossover(Individual(np.zeros(3)), Individual(np.zeros(4)), rng)
-
-
-def test_single_point_crossover_is_contiguous():
-    rng = np.random.default_rng(8)
-    a = Individual(np.zeros(10))
-    b = Individual(np.ones(10))
-    for _ in range(200):
-        child = crossover(a, b, rng, style="single_point").genome
-        flips = np.count_nonzero(np.diff(child))
-        assert flips == 1  # exactly one cut point, both sides non-empty
-        assert child[0] == 0.0 and child[-1] == 1.0
 
 
 def _pop(fitnesses):
@@ -313,12 +301,6 @@ def test_trace_csv_layout():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "generation,best_fitness,mean_fitness,std_fitness"
     assert len(lines) == 5
-
-
-def test_ga_config_dict_round_trip():
-    cfg = GaConfig(n_pop=40, n_mut=4, t_max=12, k=2, sigma=1.5, mu_mut=0.3,
-                   seed=9, convergence_window=None)
-    assert GaConfig.from_dict(cfg.to_dict()) == cfg
 
 
 def test_population_size_and_elite_caching():

@@ -12,8 +12,8 @@ from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
                                PolicyError, SimulatedDialogEnv,
                                SimulationFitness, SluChannel,
                                evaluate_policy_sim, exploring_policy,
-                               fitness_simulation, run_episode, sample_goal,
-                               template_policy)
+                               run_episode, sample_goal, template_policy)
+from support import fitness_simulation
 
 RULE_PARAMS = [0.3, 0.8, 0.5, 0.5]
 

@@ -238,7 +238,7 @@ def test_fqe_sized_fit_on_a_synthetic_corpus_split_is_pinned():
     train, _ = resample_splits(corpus, ResamplePlan(1, seed=3))[0]
     cfg = FittedQConfig(l_max=3, gamma=0.9, trees=3, n_min=6, seed=1)
     reg = fitted_q_iteration(train, cfg).regressor  # targets read q_matrix
-    clf = fit_action_classifier(train, cfg).classifier
+    clf = fit_action_classifier(train, cfg)
     assert [_tree_digest(reg), _tree_digest(clf)] == PINNED_FQE_SPLIT
 
 
