@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -46,8 +47,12 @@ def _parse_levels(text: str) -> tuple[float, ...]:
     endpoints); at least one."""
     if ":" in text:
         lo, hi, step = (float(x) for x in text.split(":"))
-        if step <= 0:
+        if not step > 0:
             raise ValueError("noise step must be positive")
+        # the loop below makes about (hi - lo) / step + 1 levels
+        if lo + step == lo or (hi + 1e-9 - lo) / step >= 10_001:
+            raise ValueError(f"noise schedule {text!r} would hold more than "
+                             f"10001 levels")
         levels = []
         x = lo
         while x <= hi + 1e-9:
@@ -63,7 +68,11 @@ def _parse_levels(text: str) -> tuple[float, ...]:
 def _parse_ablate(text: str) -> list[int]:
     ids = []
     for part in text.split(","):
-        clause = int(part.strip().lower().lstrip("c"))
+        match = re.fullmatch(r"c?([0-9]+)", part.strip().lower())
+        if match is None:
+            raise ValueError(f"--ablate takes clause ids such as c4 or 4, "
+                             f"got {part!r}")
+        clause = int(match[1])
         if clause in ids:
             raise ValueError(f"--ablate names clause c{clause} twice")
         ids.append(clause)

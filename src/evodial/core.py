@@ -6,7 +6,7 @@ across threads and fitness evaluations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -65,6 +65,12 @@ class NBestList:
         return self.hypotheses[0] if self.hypotheses else None
 
 
+def top_belief(beliefs: dict[str, float]) -> tuple[str, float] | None:
+    """The highest-scoring (value, score), None for an empty slot; score
+    ties go to the larger value."""
+    return max(zip(beliefs.values(), beliefs))[::-1] if beliefs else None
+
+
 @dataclass(frozen=True)
 class DialogState:
     """Tracked dialog state.
@@ -83,16 +89,15 @@ class DialogState:
     offered_results: frozenset = frozenset()
     last_offer_outcome: str | None = None
     turn_index: int = 0
-    # slot -> highest-scoring (value, score), None for an empty slot; fixed
-    # here because a state's belief dicts are never mutated once it is built
+    # slot -> top_belief(slot_beliefs[slot]); fixed here because a state's
+    # belief dicts are never mutated once it is built
     tops: dict[str, tuple[str, float] | None] = field(
         init=False, repr=False, compare=False)
+    known_tops: InitVar[dict | None] = None  # tops the builder already has
 
-    def __post_init__(self):
-        # max over (score, value) pairs: score ties go to the larger value
-        object.__setattr__(self, "tops", {
-            slot: max(zip(beliefs.values(), beliefs))[::-1] if beliefs else None
-            for slot, beliefs in self.slot_beliefs.items()})
+    def __post_init__(self, known_tops):
+        object.__setattr__(self, "tops", known_tops or {
+            slot: top_belief(b) for slot, b in self.slot_beliefs.items()})
 
     def top_score(self, slot: str) -> float:
         top = self.tops[slot]

@@ -1,15 +1,15 @@
 """Corpus files: JSON-lines serialization, validation and resampling.
 
 Line 1 is a header object ``{schema_version, feature_names, action_set,
-reward_config}``, its names and action labels lists of distinct strings and
-its reward configuration one JSON number per field; every following line is
-one transition ``{dialog_id, turn, s, a, s_next, terminal}`` with the
-feature vectors as float lists.  Floats are written with 17 significant
-digits so that save(load(f)) is byte-identical for canonical files.
-Transitions of one dialog are contiguous, turn numbers consecutive, and the
-dialog's last transition is its single terminal one.  Every feature and
-reward value is finite.  In memory a corpus is one :class:`Corpus`, checked
-once when it is built.
+reward_config}`` with no other key, its names and action labels lists of
+distinct strings and its reward configuration one JSON number per field;
+every following line is one transition ``{dialog_id, turn, s, a, s_next,
+terminal}`` with the feature vectors as float lists.  Floats are written
+with 17 significant digits so that save(load(f)) is byte-identical for
+canonical files.  Transitions of one dialog are contiguous, turn numbers
+consecutive, and the dialog's last transition is its single terminal one.
+Every feature and reward value is finite.  In memory a corpus is one
+:class:`Corpus`, checked once when it is built.
 """
 from __future__ import annotations
 
@@ -249,6 +249,10 @@ def _parse_header(obj: dict, line: int) -> CorpusHeader:
         names = _labels(obj, "feature_names", line)
         actions = _labels(obj, "action_set", line)
         rewards = _reward_config(obj, line)
+        unknown = set(obj) - {f.name for f in fields(CorpusHeader)}
+        if unknown:
+            raise CorpusParseError(f"bad header: unknown key "
+                                   f"{min(unknown)!r}", line)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorpusParseError(f"bad header: {exc}", line) from None
     if not np.isfinite(astuple(rewards)).all():

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import partial
 from importlib import resources
-from operator import attrgetter
+from math import exp, log, sqrt
+from operator import attrgetter, methodcaller
+from random import LOG4, SG_MAGICCONST
 from typing import Callable, Sequence
 
 import numpy as np
@@ -21,7 +24,7 @@ from .core import (ACTIONS, DEFAULT_MAX_TURNS, FEATURE_SCHEMA_VERSION,
                    OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG,
                    ActionDecision, DialogAct, DialogState, NBestList,
                    RewardConfig, discounted_return, feature_names,
-                   featurize, resolve_action)
+                   featurize, resolve_action, top_belief)
 from .corpus_io import Corpus, CorpusHeader
 # evaluate_policy stays importable from here: perfbench's tracer patches it
 from .dsl import TemplateAst, evaluate_policy, template_policy
@@ -51,13 +54,16 @@ class Ontology:
 def _parse_ontology(text: str, source: str) -> Ontology:
     data = json.loads(text)
     slots = data.get("slots") if isinstance(data, dict) else None
-    if not isinstance(slots, dict) or not slots or not all(
-            isinstance(values, list) and values
-            and all(isinstance(v, str) for v in values)
-            for values in slots.values()):
+    if not isinstance(slots, dict) or not slots \
+            or not data.keys() <= {"domain", "slots"} \
+            or not isinstance(data.get("domain", ""), str) \
+            or not all(isinstance(values, list) and values
+                       and all(isinstance(v, str) for v in values)
+                       for values in slots.values()):
         raise ValueError(f'{source}: expected {{"slots": {{slot: [value, '
-                         f'...]}}}} with at least one slot and at least one '
-                         f'string value per slot')
+                         f'...]}}}} and at most a "domain" string besides, '
+                         f'with at least one slot and at least one string '
+                         f'value per slot')
     # a corpus header must name each feature once
     names = feature_names(tuple(slots))
     for i, name in enumerate(names):
@@ -86,6 +92,36 @@ def default_template_text() -> str:
 HEURISTIC_PARAMS = (0.3, 0.8, 0.5, 0.5)
 
 
+def _cheng_beta(gammas: list[tuple[float, ...]], rng: random.Random) -> float:
+    """CPython 3.11's ``rng.betavariate`` for shapes above 1, its two
+    ``gammavariate`` calls (Cheng 1977, algorithm GB) inlined with their
+    constants computed once.  It skips the 0.0 returned for a first gamma
+    draw of 0, since ``|v| < 16.2`` keeps every draw above 0."""
+    random, x = rng.random, None
+    for alpha, ainv, bbb, ccc in gammas:
+        y = x
+        while True:
+            u1 = random()
+            if not 1e-7 < u1 < 0.9999999:
+                continue
+            u2 = 1.0 - random()
+            v = log(u1 / (1.0 - u1)) / ainv
+            x = alpha * exp(v)
+            z = u1 * u1 * u2
+            r = bbb + ccc * v - x
+            if r + SG_MAGICCONST - 4.5 * z >= 0.0 or r >= log(z):
+                break
+    return y / (y + x)
+
+
+def _beta(shapes: tuple[float, float]) -> Callable[[random.Random], float]:
+    """``f(rng) == rng.betavariate(*shapes)``, draw for draw."""
+    if min(shapes) <= 1.0:
+        return methodcaller("betavariate", *shapes)
+    return partial(_cheng_beta, [(a, sqrt(2.0 * a - 1.0), a - LOG4,
+                                  a + sqrt(2.0 * a - 1.0)) for a in shapes])
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     """SLU channel parameters.
@@ -101,13 +137,16 @@ class NoiseConfig:
     nbest_size: int = 3
     correct_conf: tuple[float, float] = (5.0, 2.0)
     incorrect_conf: tuple[float, float] = (2.0, 5.0)
-    seed: int | None = None
+    draw_correct: Callable = field(init=False, repr=False, compare=False)
+    draw_incorrect: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.error_rate <= 1.0:
             raise ValueError("error_rate must lie in [0, 1]")
         if self.nbest_size < 1:
             raise ValueError("nbest_size must be >= 1")
+        object.__setattr__(self, "draw_correct", _beta(self.correct_conf))
+        object.__setattr__(self, "draw_incorrect", _beta(self.incorrect_conf))
 
 
 class SluChannel:
@@ -155,8 +194,8 @@ class SluChannel:
                 return NBestList(())
         else:
             top = truth
-        top_conf = rng.betavariate(*(cfg.correct_conf if top == truth
-                                     else cfg.incorrect_conf))
+        top_conf = (cfg.draw_correct if top == truth
+                    else cfg.draw_incorrect)(rng)
         hyps = [DialogAct(act.act, top, top_conf)]
         seen = {top}
         for _ in range(4 * cfg.nbest_size):
@@ -166,8 +205,8 @@ class SluChannel:
             if cand is None or cand in seen:
                 continue
             seen.add(cand)
-            conf = rng.betavariate(*(cfg.correct_conf if cand == truth
-                                     else cfg.incorrect_conf)) * top_conf
+            conf = (cfg.draw_correct if cand == truth
+                    else cfg.draw_incorrect)(rng) * top_conf
             hyps.append(DialogAct(act.act, cand, conf))
         hyps[1:] = sorted(hyps[1:], key=attrgetter("confidence"), reverse=True)
         return NBestList(tuple(hyps))
@@ -276,6 +315,10 @@ class BeliefTracker:
         offered = state.offered_results
         if offered_id is not None:
             offered = offered | {offered_id}
+        # an unwritten slot keeps its belief dict, and so its top
+        old, tops = state.slot_beliefs, state.tops
+        tops = {slot: tops[slot] if b is old.get(slot) else top_belief(b)
+                for slot, b in beliefs.items()}
         return DialogState(
             slot_beliefs=beliefs,
             top_slu_score=top.confidence if top is not None else 0.0,
@@ -285,6 +328,7 @@ class BeliefTracker:
             offered_results=offered,
             last_offer_outcome=offer_outcome,
             turn_index=state.turn_index + 1,
+            known_tops=tops,
         )
 
 
@@ -299,11 +343,11 @@ class TurnRecord:
 
 @dataclass
 class EpisodeLog:
-    turns: list[TurnRecord]
+    turns: list[TurnRecord] | None  # None unless the episode was recorded
     outcome: str  # success | failure | timeout
     discounted_reward: float
     final_state: DialogState
-    error_rate: float
+    n_turns: int
 
     def rewards(self) -> list[float]:
         return [t.reward for t in self.turns]
@@ -323,11 +367,16 @@ class SimulatedDialogEnv:
         self.tracker = BeliefTracker(ontology)
         self.channel = SluChannel(ontology, noise)
         self.state: DialogState | None = None
+        self._noise_at = {None: noise}
+        self._offer_rewards = {OFFER_CORRECT: rewards.correct_offer,
+                               OFFER_DUPLICATE: rewards.duplicate_offer,
+                               OFFER_WRONG: rewards.wrong_offer}
 
     def reset(self, rng: random.Random,
               error_rate: float | None = None) -> DialogState:
-        self.channel.cfg = self.noise if error_rate is None else \
-            replace(self.noise, error_rate=error_rate)
+        if error_rate not in self._noise_at:
+            self._noise_at[error_rate] = replace(self.noise, error_rate=error_rate)
+        self.channel.cfg = self._noise_at[error_rate]
         self.goal = sample_goal(self.ontology, rng)
         self.user = AgendaUser(self.goal, rng)
         self.rng = rng
@@ -343,16 +392,16 @@ class SimulatedDialogEnv:
             return OFFER_DUPLICATE, pairs
         return OFFER_WRONG, pairs
 
-    def step(self, decision: ActionDecision):
-        """Apply a system decision; returns (state, reward, done, info)."""
+    def step(self, decision: ActionDecision, info: bool = True):
+        """Apply a system decision; returns (state, reward, done, info), the
+        info dict only if asked for.  ``self.outcome`` is the episode's
+        outcome once done, else None."""
         reward = self.rewards.per_turn
         outcome = None
         offered_id = None
         if decision.act == "Offer":
             outcome, offered_id = self._classify_offer(decision)
-            reward += {OFFER_CORRECT: self.rewards.correct_offer,
-                       OFFER_DUPLICATE: self.rewards.duplicate_offer,
-                       OFFER_WRONG: self.rewards.wrong_offer}[outcome]
+            reward += self._offer_rewards[outcome]
         self._repeats = self._repeats + 1 if decision.act == "Repeat" else 0
         user_act = self.user.respond(decision)
         if outcome == OFFER_CORRECT:
@@ -362,38 +411,40 @@ class SimulatedDialogEnv:
         self.state = self.tracker.update(self.state, decision, nbest,
                                          offer_outcome=outcome,
                                          offered_id=offered_id)
-        done = False
-        episode_outcome = None
+        self.outcome = None
         if outcome == OFFER_CORRECT:
-            done, episode_outcome = True, "success"
+            self.outcome = "success"
         elif self.patience is not None and self._repeats >= self.patience:
-            done, episode_outcome = True, "failure"
+            self.outcome = "failure"
         elif self.state.turn_index >= self.max_turns:
-            done, episode_outcome = True, "timeout"
-        info = {"user_act": user_act, "nbest": nbest, "outcome": episode_outcome}
-        return self.state, reward, done, info
+            self.outcome = "timeout"
+        info = {"user_act": user_act, "nbest": nbest,
+                "outcome": self.outcome} if info else None
+        return self.state, reward, self.outcome is not None, info
 
 
 def run_episode(policy: Policy, env: SimulatedDialogEnv, rng: random.Random,
-                error_rate: float | None = None) -> EpisodeLog:
-    """Run one dialog between a policy and the simulated user."""
+                error_rate: float | None = None,
+                record: bool = True) -> EpisodeLog:
+    """Run one dialog between a policy and the simulated user; without
+    ``record`` the log keeps no turn records."""
     state = env.reset(rng, error_rate)
-    turns: list[TurnRecord] = []
+    turns: list[TurnRecord] | None = [] if record else None
     rewards: list[float] = []
     while True:
         try:
             decision = policy(state)
         except Exception as exc:
             raise PolicyError(state.turn_index, exc) from exc
-        next_state, reward, done, info = env.step(decision)
-        turns.append(TurnRecord(state, decision, info["user_act"],
-                                info["nbest"], reward))
+        next_state, reward, done, info = env.step(decision, record)
+        if record:
+            turns.append(TurnRecord(state, decision, info["user_act"],
+                                    info["nbest"], reward))
         rewards.append(reward)
         state = next_state
         if done:
-            return EpisodeLog(turns, info["outcome"],
-                              discounted_return(rewards, env.rewards.gamma),
-                              state, env.channel.cfg.error_rate)
+            return EpisodeLog(turns, env.outcome, discounted_return(
+                rewards, env.rewards.gamma), state, len(rewards))
 
 
 def _episode_rng(master: np.random.Generator) -> random.Random:
@@ -434,7 +485,8 @@ class SimulationFitness:
         total = 0.0
         for i in range(self.n_episodes):
             log = run_episode(policy, env, _episode_rng(rng),
-                              error_rate=self.schedule[int(levels[i])])
+                              error_rate=self.schedule[int(levels[i])],
+                              record=False)
             total += log.discounted_reward
         return total / self.n_episodes
 
@@ -527,8 +579,9 @@ def evaluate_policy_sim(policy: Policy, ontology: Ontology,
     succ = np.zeros(n_episodes, dtype=bool)
     for i in range(n_episodes):
         rate = error_rate if error_rate is not None else schedule[int(levels[i])]
-        log = run_episode(policy, env, _episode_rng(master), error_rate=rate)
+        log = run_episode(policy, env, _episode_rng(master), error_rate=rate,
+                          record=False)
         rews[i] = log.discounted_reward
-        lens[i] = len(log.turns)
+        lens[i] = log.n_turns
         succ[i] = log.outcome == "success"
     return EvalResult(rews, lens, succ)

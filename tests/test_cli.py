@@ -382,6 +382,12 @@ def _repeat_first(key):
     return edit
 
 
+def _copy_key(key, new):
+    def edit(header):
+        header[new] = header[key]
+    return edit
+
+
 _REWARD_TYPES = ("bad header: reward_config must map per_turn, "
                  "correct_offer, duplicate_offer, wrong_offer, gamma to "
                  "numbers, and nothing else (line 1)")
@@ -406,10 +412,12 @@ _REWARD_TYPES = ("bad header: reward_config must map per_turn, "
     (_set_item("reward_config", "per_turn", "-10"), 3, _REWARD_TYPES),
     (_set_item("reward_config", "gamma", True), 3, _REWARD_TYPES),
     (_set_item("reward_config", "bonus", 1.0), 3, _REWARD_TYPES),
+    (_copy_key("reward_config", "reward_cfg"), 3,
+     "bad header: unknown key 'reward_cfg' (line 1)"),
 ], ids=["action-not-a-string", "null-feature-name", "repeated-action",
         "repeated-turn-frac", "no-top-slu-score", "no-slot-top-score",
         "no-reward-flag", "string-reward", "boolean-gamma",
-        "extra-reward-key"])
+        "extra-reward-key", "extra-header-key"])
 def test_bad_corpus_header_exits_without_traceback(
         template_file, tmp_path, capsys, command, edit, code, message):
     corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
@@ -445,13 +453,18 @@ def test_bad_corpus_header_exits_without_traceback(
     ("train-sim", None, {"slots": {}}, "shipped", 2),
     ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slots": {}}, "shipped", 2),
     ("make-corpus", [0.3, 0.8, 0.5, 0.5], {"slots": {}}, "shipped", 2),
+    ("evaluate", [0.3, 0.8, 0.5, 0.5],
+     {"slots": {"food": ["a"]}, "slot": {"area": ["b"]}}, "shipped", 2),
+    ("make-corpus", [0.3, 0.8, 0.5, 0.5],
+     {"domain": ["restaurant"], "slots": {"food": ["a"]}}, "shipped", 2),
 ], ids=["params-object-without-list", "params-nan", "params-too-short",
         "make-corpus-params-too-short", "make-corpus-default-params",
         "ontology-without-slots", "ontology-slot-without-values",
         "template-is-a-directory", "ontology-slot-named-slu-score",
         "train-sim-ontology-with-empty-slots",
         "evaluate-ontology-with-empty-slots",
-        "make-corpus-ontology-with-empty-slots"])
+        "make-corpus-ontology-with-empty-slots",
+        "ontology-with-unknown-key", "ontology-with-non-string-domain"])
 def test_bad_input_files_exit_without_traceback(
         template_file, tmp_path, capsys, monkeypatch, command, params,
         ontology, template, code):
@@ -538,6 +551,12 @@ def _too_early(*args, **kwargs):
     ("train-corpus", ["--n-mut", "100"], "n_mut"),
     ("train-sim", ["--ablate", "c1,C1,1"], "clause c1 twice"),
     ("evaluate", ["--ablate", "c2,c0,2"], "clause c2 twice"),
+    ("train-sim", ["--ablate", "cc1"], "clause ids"),
+    ("evaluate", ["--ablate", "c1,-2"], "clause ids"),
+    # without a level count checked first neither schedule ends: a step
+    # that leaves the level unchanged, and one that needs 1e300 levels
+    ("train-sim", ["--noise", "0.5:1:1e-17"], "10001 levels"),
+    ("make-corpus", ["--noise", "0:1:1e-300"], "10001 levels"),
 ], ids=["train-sim-empty-noise", "evaluate-empty-noise",
         "make-corpus-empty-noise", "train-sim-noise-above-1",
         "make-corpus-noise-below-0", "train-sim-zero-episodes",
@@ -548,7 +567,9 @@ def _too_early(*args, **kwargs):
         "pop-sweep-zero-repeats", "train-corpus-zero-pop",
         "train-corpus-zero-k", "train-corpus-zero-sigma",
         "train-corpus-mu-mut-above-1", "train-corpus-n-mut-fills-pop",
-        "train-sim-repeated-ablate", "evaluate-repeated-ablate"])
+        "train-sim-repeated-ablate", "evaluate-repeated-ablate",
+        "train-sim-ablate-cc1", "evaluate-ablate-negative",
+        "train-sim-noise-step-stalls", "make-corpus-noise-step-tiny"])
 def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
                                      monkeypatch, run, flags, topic):
     monkeypatch.delenv("EVODIAL_WORKERS", raising=False)

@@ -7,6 +7,7 @@ import pytest
 
 from evodial.core import (SIM_REWARDS, ActionDecision, DialogAct,
                           DialogState, NBestList, discounted_return)
+from evodial import simulator
 from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
                                NoiseConfig,
                                PolicyError, SimulatedDialogEnv,
@@ -360,3 +361,60 @@ def test_state_tops_and_tracker_update_property(ontology):
         assert after.tops == tops_from_scratch(after)
 
     check()
+
+
+def test_channel_beta_draws_match_the_stdlib():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    cfg = NoiseConfig(0.0)
+    above_1 = st.floats(1.0, 50.0, exclude_min=True)
+    shapes = st.one_of(
+        st.sampled_from([cfg.correct_conf, cfg.incorrect_conf]),
+        st.tuples(above_1, above_1),
+        # a shape of at most 1 falls back to the stdlib
+        st.tuples(st.floats(0.05, 1.0), above_1 | st.floats(0.05, 1.0)),
+        st.tuples(above_1, st.just(1.0)))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(shapes=shapes, seed=st.integers(0, 2 ** 64))
+    def check(shapes, seed):
+        draw = NoiseConfig(0.0, correct_conf=shapes).draw_correct
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        for _ in range(20):
+            assert draw(ours) == stdlib.betavariate(*shapes)
+        assert ours.random() == stdlib.random()
+
+    check()
+
+
+@pytest.mark.parametrize("error_rate", [0.0, 0.3, 0.6])
+def test_unrecorded_episodes_match_recorded_ones(ontology, restaurant_ast,
+                                                 error_rate):
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), SIM_REWARDS)
+    policy = template_policy(restaurant_ast, HEURISTIC_PARAMS)
+    for seed in range(30):
+        full = run_episode(policy, env, random.Random(seed), error_rate)
+        bare = run_episode(policy, env, random.Random(seed), error_rate,
+                           record=False)
+        assert bare.turns is None and full.n_turns == len(full.turns)
+        assert (bare.discounted_reward, bare.n_turns, bare.outcome) == \
+            (full.discounted_reward, full.n_turns, full.outcome)
+        assert bare.final_state == full.final_state
+        assert bare.final_state.tops == full.final_state.tops
+
+
+def test_fitness_and_evaluation_build_no_turn_records(ontology, restaurant_ast,
+                                                      monkeypatch):
+    def no_records(*args, **kwargs):
+        raise AssertionError("a turn record was built")
+
+    monkeypatch.setattr(simulator, "TurnRecord", no_records)
+    fitness = SimulationFitness(restaurant_ast, ontology, SIM_REWARDS,
+                                n_episodes=8)
+    fitness.evaluate(np.asarray(RULE_PARAMS), np.random.default_rng(3))
+    evaluate_policy_sim(template_policy(restaurant_ast, RULE_PARAMS),
+                        ontology, SIM_REWARDS, 8, 4, error_rate=0.3)
+    with pytest.raises(AssertionError, match="turn record"):
+        run_episode(template_policy(restaurant_ast, RULE_PARAMS),
+                    SimulatedDialogEnv(ontology, NoiseConfig(0.0),
+                                       SIM_REWARDS), random.Random(0))
