@@ -11,6 +11,7 @@ policy's starting-turn value.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -233,6 +234,13 @@ class CorpusFitness:
     def n_params(self) -> int:
         return self.ast.param_count
 
+    def as_npoints(self) -> "CorpusFitness":
+        """The NPoints fitness on the same states and Q-model, which reads
+        this fitness's predictions instead of computing them again."""
+        twin = copy.copy(self)
+        twin.mode = "npoints"
+        return twin
+
     def evaluate(self, genome: np.ndarray, rng) -> float:
         acts = evaluate_policy_batch(self.ast, genome, self._cols, self._index)
         if self.mode == "npoints":
@@ -364,31 +372,45 @@ def template_corpus_policy(ast: TemplateAst, params,
     return policy
 
 
-def build_comparison_dms(q: QModel, clf: ExtraTreesClassifier,
-                         cfg: QValConfig) -> dict[str, BatchPolicy]:
-    """The three reference corpus policies.
+def reference_actions(q_mat: np.ndarray, p_mat: np.ndarray,
+                      delta: float) -> dict[str, np.ndarray]:
+    """The three reference policies' action indices on a set of states,
+    from the states' Q-matrix and behavior-probability matrix.
 
     SL-Original imitates the behavior classifier, SL-MaxQ acts greedily on
     the Q-model, and ThresholdedQ maximizes Q over the actions the classifier
     deems likelier than ``delta`` (falling back to SL-Original when that set
-    is empty).
+    is empty).  Ties resolve to the lowest action index.
     """
-
-    def sl_original(X: np.ndarray) -> np.ndarray:
-        return clf.predict(X)
-
-    def sl_maxq(X: np.ndarray) -> np.ndarray:
-        return q.greedy(X)
-
-    def thresholded(X: np.ndarray) -> np.ndarray:
-        p = clf.predict_proba(X)
-        allowed = p > cfg.delta
-        masked = np.where(allowed, q.q_matrix(X), -np.inf)
-        pick = masked.argmax(axis=1)
-        fallback = ~allowed.any(axis=1)
-        if fallback.any():
-            pick[fallback] = p[fallback].argmax(axis=1)
-        return pick
-
-    return {"SL-Original": sl_original, "SL-MaxQ": sl_maxq,
+    sl_original = p_mat.argmax(axis=1)
+    allowed = p_mat > delta
+    thresholded = np.where(allowed, q_mat, -np.inf).argmax(axis=1)
+    fallback = ~allowed.any(axis=1)
+    thresholded[fallback] = sl_original[fallback]
+    return {"SL-Original": sl_original, "SL-MaxQ": q_mat.argmax(axis=1),
             "ThresholdedQ": thresholded}
+
+
+def reference_next_actions(q: QModel, clf: ExtraTreesClassifier,
+                           cfg: QValConfig,
+                           corpus: Corpus) -> dict[str, np.ndarray]:
+    """Each reference policy's action index at every open successor state
+    (as ``policy_next_actions`` of ``build_comparison_dms``'s policies),
+    from one Q-matrix and one probability matrix."""
+    S_next_open = corpus.S_next[~corpus.terminal]
+    return reference_actions(q.q_matrix(S_next_open),
+                             clf.predict_proba(S_next_open), cfg.delta)
+
+
+def build_comparison_dms(q: QModel, clf: ExtraTreesClassifier,
+                         cfg: QValConfig) -> dict[str, BatchPolicy]:
+    """The three reference corpus policies (see ``reference_actions``)."""
+
+    def policy(name: str) -> BatchPolicy:
+        def act(X: np.ndarray) -> np.ndarray:
+            return reference_actions(q.q_matrix(X), clf.predict_proba(X),
+                                     cfg.delta)[name]
+        return act
+
+    return {name: policy(name)
+            for name in ("SL-Original", "SL-MaxQ", "ThresholdedQ")}

@@ -88,8 +88,9 @@ def _load_template(path: str, ablate_ids=None):
 
 
 def _load_params(path: str | None, ast) -> np.ndarray:
-    """The template's finite parameter vector from a JSON file (a list, or an
-    object with a 'params' list); without a file, the heuristic defaults."""
+    """The template's parameter vector in [0, 1] from a JSON file (a list,
+    or an object with a 'params' list); without a file, the heuristic
+    defaults."""
     values, source = simulator.HEURISTIC_PARAMS, "default parameters"
     if path:
         with open(path, encoding="utf-8") as fp:
@@ -100,9 +101,11 @@ def _load_params(path: str | None, ast) -> np.ndarray:
         params = np.asarray(values, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
         params = None
-    if params is None or params.ndim != 1 or not np.isfinite(params).all():
-        raise ValueError(f"{source}: parameters must be a list of finite "
-                         f"numbers, or an object with such a 'params' list")
+    # NaN fails both comparisons
+    if params is None or params.ndim != 1 or \
+            not ((params >= 0.0) & (params <= 1.0)).all():
+        raise ValueError(f"{source}: parameters must be a list of numbers "
+                         f"in [0, 1], or an object with such a 'params' list")
     if len(params) != ast.param_count:
         raise dsl.ArityMismatch(f"{source}: template takes {ast.param_count} "
                                 f"parameters, got {len(params)}")
@@ -218,7 +221,9 @@ def _corpus_round(splits, ast, fq_cfg, qv_cfg, ga_cfg):
     to the pool as soon as its inputs exist, while the parent fits the
     Q-model and then runs the GAs.  Each split's ``FqeProblem`` is built
     once, before the pool starts, and serves fitted-Q and all of the
-    split's FQE jobs.
+    split's FQE jobs.  The final Q-model and the classifier predict each
+    split's open successor states once for all three reference policies,
+    and the train states once for both corpus GAs.
     """
     train, header = splits[0], splits[0].header
     problems = [batch_rl.FqeProblem.of(split) for split in splits]
@@ -237,26 +242,27 @@ def _corpus_round(splits, ast, fq_cfg, qv_cfg, ga_cfg):
         clf = next(early)
         if fq_cfg.l_max > 1:
             firsts[1] = next(early)
-        policies = dict(batch_rl.build_comparison_dms(q, clf, qv_cfg))
 
-        def fqe_jobs(name: str):
-            return map_jobs([
-                ("fqe", i, batch_rl.policy_next_actions(policies[name], split),
-                 firsts[i])
-                for i, split in enumerate(splits)])
+        def fqe_jobs(pi_nexts):  # one array per split
+            return map_jobs([("fqe", i, pi_next, firsts[i])
+                             for i, pi_next in enumerate(pi_nexts)])
 
-        values = {name: fqe_jobs(name) for name in policies}
+        references = [batch_rl.reference_next_actions(q, clf, qv_cfg, split)
+                      for split in splits]
+        values = {name: fqe_jobs([ref[name] for ref in references])
+                  for name in references[0]}
         params_by_dm = {}
-        for mode, name in (("npoints", "GA-NPoints"), ("qval", "GA-QVal")):
-            fitness = batch_rl.CorpusFitness(ast, train.S,
-                                             header.feature_names, mode, q,
-                                             clf, qv_cfg)
+        qval = batch_rl.CorpusFitness(ast, train.S, header.feature_names,
+                                      "qval", q, clf, qv_cfg)
+        for name, fitness in (("GA-NPoints", qval.as_npoints()),
+                              ("GA-QVal", qval)):
             # a corpus fitness call takes ~0.1 ms: dispatch would cost more
             best, _ = evolution.run_ga(fitness, ga_cfg, n_workers=1)
-            policies[name] = batch_rl.template_corpus_policy(
+            policy = batch_rl.template_corpus_policy(
                 ast, best.genome, header.feature_names, header.action_set)
             params_by_dm[name] = [float(v) for v in best.genome]
-            values[name] = fqe_jobs(name)
+            values[name] = fqe_jobs([batch_rl.policy_next_actions(policy, split)
+                                     for split in splits])
         return {name: list(values[name]) for name in _DM_NAMES}, params_by_dm
 
 

@@ -4,12 +4,12 @@ Line 1 is a header object ``{schema_version, feature_names, action_set,
 reward_config}`` with no other key, its names and action labels lists of
 distinct strings and its reward configuration one JSON number per field;
 every following line is one transition ``{dialog_id, turn, s, a, s_next,
-terminal}`` with the feature vectors as float lists.  Floats are written
-with 17 significant digits so that save(load(f)) is byte-identical for
-canonical files.  Transitions of one dialog are contiguous, turn numbers
-consecutive, and the dialog's last transition is its single terminal one.
-Every feature and reward value is finite.  In memory a corpus is one
-:class:`Corpus`, checked once when it is built.
+terminal}``, with no other key, and the feature vectors as float lists.
+Floats are written with 17 significant digits so that save(load(f)) is
+byte-identical for canonical files.  Transitions of one dialog are
+contiguous, turn numbers consecutive, and the dialog's last transition is
+its single terminal one.  Every feature and reward value is finite.  In
+memory a corpus is one :class:`Corpus`, checked once when it is built.
 """
 from __future__ import annotations
 
@@ -264,6 +264,9 @@ def _parse_header(obj: dict, line: int) -> CorpusHeader:
     return CorpusHeader(version, names, actions, rewards)
 
 
+_RECORD_KEYS = {"dialog_id", "turn", "s", "a", "s_next", "terminal"}
+
+
 def load_corpus(path: str) -> Corpus:
     """Read and validate a corpus file."""
     with open(path, encoding="utf-8") as fp:
@@ -287,6 +290,11 @@ def load_corpus(path: str) -> Corpus:
         try:
             row = (lineno, obj["dialog_id"], obj["turn"], obj["s"], obj["a"],
                    obj["s_next"], obj["terminal"])
+            # every field was read above, so any further key is unknown
+            if len(obj) != len(_RECORD_KEYS):
+                raise CorpusParseError(
+                    f"bad transition record: unknown key "
+                    f"{min(set(obj) - _RECORD_KEYS)!r}", lineno)
             _, dialog_id, turn, _, label, _, terminal = row
             # exact types: bool is a subclass of int, and a cast would read
             # 0.9 as 0, "1" as 1 and "no" as true

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field, replace
 from functools import partial
 from importlib import resources
-from math import exp, log, sqrt
+from math import exp, inf, log, sqrt
 from operator import attrgetter, methodcaller
 from random import LOG4, SG_MAGICCONST
 from typing import Callable, Sequence
@@ -145,6 +145,12 @@ class NoiseConfig:
             raise ValueError("error_rate must lie in [0, 1]")
         if self.nbest_size < 1:
             raise ValueError("nbest_size must be >= 1")
+        for name in ("correct_conf", "incorrect_conf"):
+            shapes = getattr(self, name)
+            # a NaN shape would make the first draw loop forever
+            if len(shapes) != 2 or not all(0.0 < a < inf for a in shapes):
+                raise ValueError(f"{name} must hold two finite Beta shapes "
+                                 f"above 0, got {shapes!r}")
         object.__setattr__(self, "draw_correct", _beta(self.correct_conf))
         object.__setattr__(self, "draw_incorrect", _beta(self.incorrect_conf))
 

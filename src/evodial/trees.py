@@ -27,15 +27,20 @@ depth-first order (candidate features by ``rng.choice``, then thresholds by
   and ``w * y * y`` (``w * onehot`` for the classifier) are formed once per
   tree;
 * the regression sums are not order-free: ``masks.T @ wy`` and
-  ``masks.T @ wy2`` keep their operands (the C-ordered boolean
-  ``(rows, candidates)`` mask and contiguous per-node gathers), and the
-  node and leaf sums of ``wy`` stay numpy's pairwise ``add.reduce`` of those
-  gathers; other layouts or groupings (``reduceat``, stacked matmuls) flip
-  bits;
-* candidate costs repeat numpy's elementwise operations in Python floats
-  (``x * x`` for ``x ** 2``), and the pick is ``argmin``'s first minimum;
+  ``masks.T @ wy2`` keep their operands (the boolean ``(rows, candidates)``
+  mask, which ``Xsub[:, candidates]`` makes F-ordered, so that ``masks.T``
+  is C-contiguous, and contiguous per-node gathers), and the node and leaf
+  sums of ``wy`` stay numpy's pairwise ``add.reduce`` of those gathers;
+  other layouts or groupings (``reduceat``, stacked matmuls) flip bits;
+* candidate thresholds (``lo + u * (hi - lo)``, or ``lo`` where that
+  reaches ``hi``) and candidate costs repeat numpy's elementwise operations
+  in Python floats (``x * x`` for ``x ** 2``), and the pick is ``argmin``'s
+  first minimum;
 * prediction only compares, so rows may be routed in any grouping, while
-  each row keeps its tree-by-tree ``+=`` order.
+  each row keeps its tree-by-tree ``+=`` order.  One descent routes every
+  (tree, row) pair of an ensemble through its trees packed into one set of
+  node arrays (``_mean_leaf_value``); the leaf values are then added one
+  tree at a time.
 """
 from __future__ import annotations
 
@@ -62,17 +67,59 @@ class _FlatTree:
     value: np.ndarray  # (nodes,) regression, (nodes, classes) classification
 
 
-def _apply(tree: _FlatTree, X: np.ndarray) -> np.ndarray:
-    """Leaf index for every row; level-synchronous descent."""
-    node = np.zeros(X.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[node]
-        rows = np.nonzero(feat >= 0)[0]
-        if rows.size == 0:
-            return node
-        at = node[rows]
-        go_left = X[rows, feat[rows]] <= tree.threshold[at]
-        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+# Levels a descent takes between two compactions of its unfinished
+# (tree, row) pairs; a pair that reaches a leaf stays there meanwhile.
+_LEVELS_PER_SWEEP = 6
+# (tree, row) pairs per descent: a descent holds about ten arrays of its
+# pair count, so this bounds its memory whatever the tree and row counts.
+_PAIRS_PER_DESCENT = 8192
+
+
+def _mean_leaf_value(trees: list[_FlatTree], X: np.ndarray) -> np.ndarray:
+    """Each row's leaf values summed tree by tree, over the tree count.
+
+    The trees are packed into one set of node arrays, so that one
+    level-synchronous descent routes every (tree, row) pair.  ``child``
+    holds each node's right, then left child, indexed by ``x <= threshold``
+    (NaN compares false and goes right, as in a per-tree descent).  Both
+    children of a leaf are the leaf itself, so a pair that reached one
+    stays there whatever its comparison (feature -1 reads another value of
+    ``X``).  The packing is redone per call, so a fitted ensemble holds its
+    nodes once.  The rows descend in blocks of ``_PAIRS_PER_DESCENT``
+    pairs.  ``X`` must be C-contiguous.
+    """
+    sizes = [len(tree.feature) for tree in trees]
+    roots = np.cumsum([0] + sizes[:-1])
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(tree, name) for tree in trees])
+        for name in ("feature", "threshold", "left", "right", "value"))
+    leaf = feature < 0
+    shift = np.repeat(roots, sizes)
+    child = np.column_stack([right + shift, left + shift])
+    child[leaf] = np.arange(len(leaf))[leaf, None]
+    child = child.ravel()
+
+    n, width = X.shape
+    flat = X.ravel()
+    out = np.zeros((n,) + value.shape[1:])
+    step = max(1, _PAIRS_PER_DESCENT // len(trees))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        node = np.repeat(roots, rows)
+        pairs = np.flatnonzero(~leaf[node])
+        at = node[pairs]
+        offset = (start + pairs % rows) * width  # of each pair's row in flat
+        while pairs.size:
+            for _ in range(_LEVELS_PER_SWEEP):
+                go_left = flat[offset + feature[at]] <= threshold[at]
+                at = child[2 * at + go_left]
+            node[pairs] = at
+            live = ~leaf[at]
+            pairs, at, offset = pairs[live], at[live], offset[live]
+        block = out[start:start + rows]
+        for leaves in node.reshape(len(trees), rows):
+            block += value[leaves]
+    return out / len(trees)
 
 
 def _dedup(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +181,16 @@ def _grow(Xy: np.ndarray, w: np.ndarray, k_features: int, n_min: int,
             if spread[-1] and usable.size:
                 k = min(k_features, usable.size)
                 candidates = rng.choice(usable, size=k, replace=False)
-                lo, hi = mins[candidates], maxs[candidates]
-                thresholds = lo + rng.random(k) * (hi - lo)
-                # min + r*span can round up to max when the span is a few
-                # ulps; the right child would then be empty.  min still
-                # splits off min's rows.
-                thresholds = np.where(thresholds < hi, thresholds, lo)
+                chosen = candidates.tolist()
+                lows, highs = mins.tolist(), maxs.tolist()
+                thresholds = []
+                for f, u in zip(chosen, rng.random(k).tolist()):
+                    lo, hi = lows[f], highs[f]
+                    t = lo + u * (hi - lo)
+                    # min + r*span can round up to max when the span is a
+                    # few ulps; the right child would then be empty.  min
+                    # still splits off min's rows.
+                    thresholds.append(t if t < hi else lo)
                 masks = Xsub[:, candidates] <= thresholds  # (rows, candidates)
                 if classify:
                     counts_l = masks.T @ wy[idx]  # (candidates, classes)
@@ -159,8 +210,8 @@ def _grow(Xy: np.ndarray, w: np.ndarray, k_features: int, n_min: int,
                                           float(add(wy_sub)),
                                           float(add(wy2_sub)))
                     child_counts = None, None
-                feature[node] = int(candidates[pick])
-                threshold[node] = float(thresholds[pick])
+                feature[node] = chosen[pick]
+                threshold[node] = thresholds[pick]
                 lchild = len(feature)
                 left[node] = lchild
                 right[node] = lchild + 1
@@ -294,11 +345,7 @@ class ExtraTreesRegressor(_Ensemble):
         return self._fit(X, y, False)
 
     def predict(self, X) -> np.ndarray:
-        X = self._check_input(X)
-        out = np.zeros(X.shape[0])
-        for tree in self._trees:
-            out += tree.value[_apply(tree, X)]
-        return out / len(self._trees)
+        return _mean_leaf_value(self._trees, self._check_input(X))
 
 
 class ExtraTreesClassifier(_Ensemble):
@@ -306,11 +353,7 @@ class ExtraTreesClassifier(_Ensemble):
         return self._fit(X, y, True, n_classes)
 
     def predict_proba(self, X) -> np.ndarray:
-        X = self._check_input(X)
-        out = np.zeros((X.shape[0], self.n_classes))
-        for tree in self._trees:
-            out += tree.value[_apply(tree, X)]
-        return out / len(self._trees)
+        return _mean_leaf_value(self._trees, self._check_input(X))
 
     def predict(self, X) -> np.ndarray:
         return self.predict_proba(X).argmax(axis=1)

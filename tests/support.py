@@ -1,8 +1,9 @@
 """Shared test machinery: grammar-level template generators, the row-wise
-state variables, the per-state reward, the structured-view row grouping and
-the record-by-record corpus writer as oracles, a one-shot simulation
-fitness, enumerable MDP corpora with exact dynamic-programming oracles, and
-a robust peak estimator for heavily skewed samples."""
+state variables, the per-state reward, the structured-view row grouping,
+tree-by-tree prediction and the record-by-record corpus writer as oracles,
+a one-shot simulation fitness, enumerable MDP corpora with exact
+dynamic-programming oracles, and a robust peak estimator for heavily skewed
+samples."""
 from __future__ import annotations
 
 import json
@@ -167,6 +168,35 @@ def dedup_by_unique(X: np.ndarray, y: np.ndarray
     remap[by_first] = np.arange(len(first))
     counts = np.bincount(remap[inverse], minlength=len(order)).astype(np.float64)
     return stacked[order], counts
+
+
+# ---------------------------------------------------------------------------
+# Tree-by-tree prediction: the oracle of the ensembles' one-descent predict
+# ---------------------------------------------------------------------------
+
+def _tree_leaves(tree, X: np.ndarray) -> np.ndarray:
+    """Leaf index of every row in one tree, by a level-synchronous descent
+    over the rows that have not reached a leaf."""
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    while True:
+        feat = tree.feature[node]
+        rows = np.nonzero(feat >= 0)[0]
+        if rows.size == 0:
+            return node
+        at = node[rows]
+        go_left = X[rows, feat[rows]] <= tree.threshold[at]
+        node[rows] = np.where(go_left, tree.left[at], tree.right[at])
+
+
+def predict_tree_by_tree(ensemble, X) -> np.ndarray:
+    """``predict`` (regressor) or ``predict_proba`` (classifier): the trees'
+    leaf values added one tree at a time, over the tree count."""
+    X = np.asarray(X, dtype=np.float64)
+    trees = ensemble._trees
+    out = np.zeros((X.shape[0],) + trees[0].value.shape[1:])
+    for tree in trees:
+        out += tree.value[_tree_leaves(tree, X)]
+    return out / len(trees)
 
 
 # ---------------------------------------------------------------------------

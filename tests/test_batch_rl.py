@@ -7,7 +7,8 @@ from evodial.batch_rl import (CorpusFitness, FittedQConfig, FqeProblem,
                               evaluate_policy_on_corpus, fit_action_classifier,
                               fitness_npoints, fitness_qval,
                               first_fqe_ensemble, fitted_q_evaluation,
-                              fitted_q_iteration, policy_next_actions, template_actions,
+                              fitted_q_iteration, policy_next_actions,
+                              reference_next_actions, template_actions,
                               template_corpus_policy)
 from evodial.core import RewardConfig
 from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
@@ -261,6 +262,25 @@ def test_corpus_fitness_matches_module_functions():
         fitness_qval(ast, genome, states, SYN_FEATURES, q, clf, cfg), abs=1e-9)
 
 
+def test_npoints_twin_of_a_qval_fitness_matches_a_fresh_one():
+    rng = np.random.default_rng(20)
+    states = _syn_states(rng, 150)
+    q, clf = _fitted_models(rng, states)
+    ast = _syn_template("if top_slu_score > p0 then A2 else if slu_empty "
+                        "then A1 else A0")
+    qval = CorpusFitness(ast, states, SYN_FEATURES, "qval", q, clf,
+                         QValConfig(delta=0.3, r_punish=-20.0))
+    before = [qval.evaluate(np.array([g]), None) for g in (0.2, 0.5, 0.8)]
+    twin = qval.as_npoints()
+    fresh = CorpusFitness(ast, states, SYN_FEATURES, "npoints", q)
+    for g in (0.2, 0.5, 0.8):
+        genome = np.array([g])
+        assert twin.evaluate(genome, None) == fresh.evaluate(genome, None)
+    assert qval.mode == "qval"
+    assert [qval.evaluate(np.array([g]), None) for g in (0.2, 0.5, 0.8)] == \
+        before
+
+
 def test_eq4_zero_reward_corpus_scores_zero():
     zero_rewards = RewardConfig(per_turn=0.0, correct_offer=0.0,
                                 duplicate_offer=0.0, wrong_offer=0.0, gamma=0.9)
@@ -294,6 +314,34 @@ def test_comparison_dms_degenerate_deltas():
     closed = build_comparison_dms(q, clf, QValConfig(delta=1.0))
     assert np.array_equal(closed["ThresholdedQ"](states),
                           closed["SL-Original"](states))
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3, 0.6, 1.0])
+def test_reference_next_actions_follow_each_policy_rule(delta):
+    rng = np.random.default_rng(19)
+    states = _syn_states(rng, 120)
+    q, clf = _fitted_models(rng, states)
+    n = 80  # two-turn dialogs, so half of the successor states are open
+    header = CorpusHeader("dlg-v1", SYN_FEATURES, SYN_SCHEMA.actions,
+                          CHAIN_REWARDS)
+    turn = np.arange(n) % 2
+    corpus = Corpus(header, _syn_states(rng, n), rng.integers(0, 3, n),
+                    _syn_states(rng, n), turn == 1, np.arange(n) // 2, turn)
+    cfg = QValConfig(delta=delta)
+    got = reference_next_actions(q, clf, cfg, corpus)
+    policies = build_comparison_dms(q, clf, cfg)
+    assert list(got) == list(policies)
+    for name, policy in policies.items():
+        assert np.array_equal(got[name], policy_next_actions(policy, corpus))
+    S_open = corpus.S_next[~corpus.terminal]
+    rows = zip(q.q_matrix(S_open).tolist(), clf.predict_proba(S_open).tolist())
+    for i, (q_row, p_row) in enumerate(rows):
+        allowed = [a for a in range(3) if p_row[a] > delta]
+        assert got["SL-Original"][i] == p_row.index(max(p_row))
+        assert got["SL-MaxQ"][i] == q_row.index(max(q_row))
+        assert got["ThresholdedQ"][i] == (
+            max(allowed, key=lambda a: (q_row[a], -a)) if allowed
+            else p_row.index(max(p_row)))
 
 
 def test_classifier_recovers_behavior_policy():

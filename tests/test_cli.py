@@ -151,6 +151,37 @@ def test_train_corpus_smoke(template_file, tmp_path):
     assert len(best["params"]) == 3
 
 
+def test_train_corpus_round_predicts_each_matrix_once(template_file, tmp_path,
+                                                      monkeypatch):
+    # fitted-Q reads l_max - 1 = 2 Q-matrices; the final Q-model and the
+    # classifier each predict the train states (both corpus GAs) and each
+    # split's open successor states (all three reference policies) once
+    corpus = tmp_path / "corpus.jsonl"
+    main(["make-corpus", "--template", str(template_file), "--out",
+          str(corpus), "--seed", "5", "--episodes", "30", "--epsilon", "0.3"])
+    calls = {"q_matrix": 0, "predict_proba": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(batch_rl.QModel, "q_matrix")
+    counted(trees.ExtraTreesClassifier, "predict_proba")
+    monkeypatch.setenv("EVODIAL_WORKERS", "1")
+    code = main(["train-corpus", "--template", str(_flat_template(tmp_path)),
+                 "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                 "--seed", "6", "--resamples", "1", "--pop", "6", "--n-mut",
+                 "1", "--k", "2", "--generations", "2", "--l-max", "3",
+                 "--trees", "2"])
+    assert code == 0
+    assert calls == {"q_matrix": 5, "predict_proba": 3}
+
+
 def test_structural_template_rejected_for_corpus_training(template_file, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
     main(["make-corpus", "--template", str(template_file), "--out",
@@ -441,6 +472,8 @@ def test_bad_corpus_header_exits_without_traceback(
     ("evaluate", {"x": 1}, None, "shipped", 2),
     ("evaluate", [float("nan"), 0.8, 0.5, 0.5], None, "shipped", 2),
     ("evaluate", [0.1, 0.2], None, "shipped", 3),
+    ("make-corpus", [5, -1, 0.5, 0.5], None, "shipped", 2),
+    ("evaluate", [0.3, 0.8, 0.5, 1.0 + 2 ** -52], None, "shipped", 2),
     ("make-corpus", [0.1, 0.2], None, "shipped", 3),
     ("make-corpus", None, None, "flat", 3),  # the 4 default parameters
     ("evaluate", [0.3, 0.8, 0.5, 0.5], {"slot": []}, "shipped", 2),
@@ -458,6 +491,7 @@ def test_bad_corpus_header_exits_without_traceback(
     ("make-corpus", [0.3, 0.8, 0.5, 0.5],
      {"domain": ["restaurant"], "slots": {"food": ["a"]}}, "shipped", 2),
 ], ids=["params-object-without-list", "params-nan", "params-too-short",
+        "make-corpus-params-outside-0-1", "params-one-ulp-above-1",
         "make-corpus-params-too-short", "make-corpus-default-params",
         "ontology-without-slots", "ontology-slot-without-values",
         "template-is-a-directory", "ontology-slot-named-slu-score",

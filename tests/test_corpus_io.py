@@ -110,6 +110,19 @@ def test_mistyped_scalar_field_rejected_with_line(tmp_path, field, literal):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("extra", ['"note": 1', '"s_prev": []'],
+                         ids=["number", "list"])
+def test_unknown_record_key_rejected_with_line(tmp_path, extra):
+    # a dropped key would break save(load(f)) == f
+    lines = _write(tmp_path, chain_corpus(2)).read_text().splitlines()
+    lines[3] = lines[3][:-1] + ", " + extra + "}"
+    key = extra.split(":")[0].strip('"')
+    with pytest.raises(CorpusParseError, match=f"bad transition record: "
+                                               f"unknown key '{key}'") as err:
+        load_corpus(str(_rewritten(tmp_path, lines)))
+    assert err.value.line == 4
+
+
 def test_unknown_action_rejected(tmp_path):
     path = _write(tmp_path, chain_corpus(1))
     text = path.read_text().replace('"a": "advance"', '"a": "sideways"')

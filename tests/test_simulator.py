@@ -387,6 +387,18 @@ def test_channel_beta_draws_match_the_stdlib():
     check()
 
 
+@pytest.mark.parametrize("field", ["correct_conf", "incorrect_conf"])
+@pytest.mark.parametrize("shapes", [
+    (float("nan"), 2.0), (2.0, float("nan")), (float("inf"), 2.0),
+    (0.0, 2.0), (2.0, -1.0), (2.0,), (2.0, 5.0, 1.0),
+])
+def test_bad_beta_shapes_are_rejected_before_any_draw(field, shapes):
+    # a NaN shape made the first draw loop forever, so nothing is drawn here
+    with pytest.raises(ValueError, match=f"{field} must hold two finite "
+                                         f"Beta shapes above 0"):
+        NoiseConfig(0.1, **{field: shapes})
+
+
 @pytest.mark.parametrize("error_rate", [0.0, 0.3, 0.6])
 def test_unrecorded_episodes_match_recorded_ones(ontology, restaurant_ast,
                                                  error_rate):

@@ -11,7 +11,7 @@ from evodial.corpus_io import ResamplePlan, resample_splits
 from evodial.simulator import make_synthetic_corpus
 from evodial.trees import (EmptyTrainingSet, ExtraTreesClassifier,
                            ExtraTreesRegressor, FeatureArityMismatch, _dedup)
-from support import dedup_by_unique
+from support import dedup_by_unique, predict_tree_by_tree
 
 
 def test_single_sample_predicts_constant():
@@ -145,6 +145,65 @@ def test_one_ulp_feature_span_splits_without_crash():
     for seed in range(50):
         model = ExtraTreesRegressor(1, n_min=2, seed=seed).fit(X, y)
         assert np.array_equal(model.predict(X), y)
+
+
+def _assert_matches_tree_by_tree(models, Q):
+    for model in models:
+        got = (model.predict_proba(Q) if isinstance(model, ExtraTreesClassifier)
+               else model.predict(Q))
+        want = predict_tree_by_tree(model, Q)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_prediction_matches_tree_by_tree_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # few distinct training values, so rows repeat and trees stay small
+    targets = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -3.0])
+    train_values = targets | st.sampled_from([np.nextafter(1.0, 2.0), 1e300])
+    query_values = train_values | st.floats(-4.0, 4.0) | st.sampled_from(
+        [np.nan, np.inf, -np.inf])
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(shape=st.tuples(st.integers(1, 60), st.integers(1, 3),
+                                      st.integers(0, 12)),
+                      n_trees=st.integers(1, 4), n_min=st.integers(2, 6),
+                      seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def check(shape, n_trees, n_min, seed, data):
+        n, f, m = shape
+        X = np.array(data.draw(st.lists(train_values, min_size=n * f,
+                                        max_size=n * f))).reshape(n, f)
+        y = np.array(data.draw(st.lists(targets, min_size=n, max_size=n)))
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=n,
+                                    max_size=n))
+        Q = np.array(data.draw(st.lists(query_values, min_size=m * f,
+                                        max_size=m * f))).reshape(m, f)
+        _assert_matches_tree_by_tree(
+            [ExtraTreesRegressor(n_trees, n_min=n_min, seed=seed).fit(X, y),
+             ExtraTreesClassifier(n_trees, n_min=n_min, seed=seed).fit(
+                 X, labels)], Q)
+
+    check()
+
+
+def test_prediction_edge_cases_match_tree_by_tree():
+    rng = np.random.default_rng(30)
+    X = rng.random((300, 3))
+    y = np.sin(9.0 * X[:, 0]) + X[:, 1]
+    labels = (4 * X[:, 2]).astype(int)
+    queries = np.vstack([rng.random((400, 3)) * 1.2 - 0.1,
+                         [[np.nan, 0.5, 0.5], [np.inf, -np.inf, np.nan],
+                          [-np.inf, np.inf, 0.5]]])
+    # deep trees (n_min 2), enough trees for a pairwise sum to differ from
+    # the tree-by-tree one and for the 403 rows to descend in more than one
+    # block, single-leaf trees (one sample), an empty query
+    deep = [ExtraTreesRegressor(40, n_min=2, seed=3).fit(X, y),
+            ExtraTreesClassifier(40, n_min=2, seed=3).fit(X, labels)]
+    single = [ExtraTreesRegressor(3, seed=0).fit(X[:1], y[:1]),
+              ExtraTreesClassifier(3, seed=0).fit(X[:1], [2])]
+    for models in (deep, single):
+        for Q in (queries, queries[:0]):
+            _assert_matches_tree_by_tree(models, Q)
 
 
 # ---------------------------------------------------------------------------
