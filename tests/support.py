@@ -1,6 +1,7 @@
 """Shared test machinery: grammar-level template generators, the row-wise
-state variables, the per-state reward, the structured-view row grouping,
-tree-by-tree prediction and the record-by-record corpus writer as oracles,
+state variables, the per-state reward, test-only Q-model views, the
+structured-view row grouping, tree-by-tree prediction, the record-by-record
+corpus writer and the SLU channel's list-copying swap as oracles,
 a one-shot simulation fitness, enumerable MDP corpora with exact
 dynamic-programming oracles, and a robust peak estimator for heavily skewed
 samples."""
@@ -9,17 +10,20 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
+from evodial.batch_rl import QModel, _one_hot
 from evodial.core import (_BOOL_FEATURES, OFFER_CORRECT, OFFER_DUPLICATE,
-                          OFFER_WRONG, DialogState, RewardConfig,
-                          _schema_slots)
+                          OFFER_WRONG, DialogAct, DialogState, NBestList,
+                          RewardConfig, _schema_slots)
 from evodial.corpus_io import Corpus, CorpusHeader, _g17
 from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
                          StateSchema, TemplateAst)
-from evodial.simulator import Ontology, SimulationFitness, default_ontology
+from evodial.simulator import (NoiseConfig, Ontology, SimulationFitness,
+                               default_ontology)
 
 # ---------------------------------------------------------------------------
 # Random templates over the policy grammar
@@ -149,6 +153,79 @@ def fitness_simulation(ast: TemplateAst, params: Sequence[float],
                                 schedule=tuple(noise_schedule))
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
     return fitness.evaluate(np.asarray(params, dtype=np.float64), rng)
+
+
+# ---------------------------------------------------------------------------
+# Q-model views that only tests read
+# ---------------------------------------------------------------------------
+
+def q_values(q: QModel, X: np.ndarray,
+             actions: np.ndarray) -> np.ndarray:
+    """The Q-value of each row's action, by one ``predict`` over the rows'
+    (state, one-hot action) inputs."""
+    X = np.asarray(X, dtype=np.float64)
+    return q.regressor.predict(
+        np.hstack([X, _one_hot(np.asarray(actions), q.n_actions)]))
+
+
+def greedy(q: QModel, X: np.ndarray) -> np.ndarray:
+    """Greedy action indices; ties resolve to the lowest action index."""
+    return q.q_matrix(X).argmax(axis=1)
+
+
+# ---------------------------------------------------------------------------
+# List-copying value swap: the oracle of the SLU channel's swap pools
+# ---------------------------------------------------------------------------
+
+class ListSwapChannel:
+    """``SluChannel`` whose value swap copies the act's pairs into a list,
+    swaps one value drawn from the slot's other values, and makes a tuple
+    again; it makes the same ``random.Random`` calls in the same order."""
+
+    def __init__(self, ontology: Ontology, cfg: NoiseConfig):
+        self.ontology = ontology
+        self.cfg = cfg
+
+    def _replace_value(self, slot_values, rng):
+        if not slot_values:
+            return None
+        i = rng.randrange(len(slot_values))
+        slot, value = slot_values[i]
+        pool = [v for v in self.ontology.values.get(slot, ()) if v != value]
+        if not pool:
+            return None
+        swapped = list(slot_values)
+        swapped[i] = (slot, rng.choice(pool))
+        return tuple(swapped)
+
+    def corrupt(self, act: DialogAct, rng: random.Random) -> NBestList:
+        cfg = self.cfg
+        truth = act.slot_values
+        if rng.random() < cfg.error_rate:
+            top = None
+            if truth and rng.random() < 0.5:
+                top = self._replace_value(truth, rng)
+            if top is None:
+                return NBestList(())
+        else:
+            top = truth
+        top_conf = (cfg.draw_correct if top == truth
+                    else cfg.draw_incorrect)(rng)
+        hyps = [DialogAct(act.act, top, top_conf)]
+        seen = {top}
+        for _ in range(4 * cfg.nbest_size):
+            if len(hyps) >= cfg.nbest_size:
+                break
+            cand = truth if rng.random() < 0.4 \
+                else self._replace_value(truth, rng)
+            if cand is None or cand in seen:
+                continue
+            seen.add(cand)
+            conf = (cfg.draw_correct if cand == truth
+                    else cfg.draw_incorrect)(rng) * top_conf
+            hyps.append(DialogAct(act.act, cand, conf))
+        hyps[1:] = sorted(hyps[1:], key=attrgetter("confidence"), reverse=True)
+        return NBestList(tuple(hyps))
 
 
 # ---------------------------------------------------------------------------

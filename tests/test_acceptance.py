@@ -30,7 +30,7 @@ from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, HEURISTIC_PARAMS,
                                template_policy)
 from support import (CHAIN_ACTIONS, CHAIN_STATE_VECS, SphereFitness,
                      chain_corpus, chain_value_iteration, fitted_peak,
-                     random_template, variables_from_features)
+                     q_values, random_template, variables_from_features)
 
 ONTOLOGY = default_ontology()
 TEMPLATE = parse_template(default_template_text())
@@ -214,7 +214,7 @@ def test_criterion_07_fitness_brute_force_equivalence():
         variables = variables_from_features(states[i], SYN_FEATURES)
         act = evaluate_policy(ast, params, variables).act
         a = SYN_SCHEMA.actions.index(act)
-        per_action = [q.q_values(states[i:i + 1], np.array([b]))[0]
+        per_action = [q_values(q, states[i:i + 1], np.array([b]))[0]
                       for b in range(3)]
         brute_n += a == int(np.argmax(per_action))
         p = clf.predict_proba(states[i:i + 1])[0, a]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evodial import batch_rl
 from evodial.batch_rl import (CorpusFitness, FittedQConfig, FqeProblem,
                               MalformedEpisode, QModel, QValConfig,
                               build_comparison_dms,
@@ -13,13 +14,15 @@ from evodial.batch_rl import (CorpusFitness, FittedQConfig, FqeProblem,
 from evodial.core import RewardConfig
 from evodial.corpus_io import (Corpus, CorpusHeader, CorpusParseError,
                                MissingTerminal, SchemaMismatch)
-from evodial.dsl import (StateSchema, StructuralParamForbidden,
-                         evaluate_policy, parse_template)
+from evodial.dsl import (ArityMismatch, StateSchema,
+                         StructuralParamForbidden, evaluate_policy,
+                         parse_template)
 from evodial.trees import ExtraTreesRegressor
 from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_HEADER,
                      CHAIN_REWARDS, CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0,
                      EP_STALL1, chain_corpus, chain_rows, chain_value_iteration,
-                     corpus_from_rows, variables_from_features)
+                     corpus_from_rows, greedy, q_values,
+                     variables_from_features)
 
 FQ_FAST = FittedQConfig(l_max=25, gamma=0.9, trees=30, k_features=5, n_min=2,
                         seed=0)
@@ -88,7 +91,7 @@ def test_greedy_ties_break_to_lowest_index():
 
     q = QModel(Constant(), ("x", "y"))
     q.regressor = Constant()
-    acts = q.greedy(np.zeros((5, 1)))
+    acts = greedy(q, np.zeros((5, 1)))
     assert np.array_equal(acts, np.zeros(5))
 
 
@@ -113,7 +116,8 @@ def test_single_turn_dialogs_regress_immediate_rewards():
                                np.array([0.0, 0.0, 1.0, 0.0, 0.0]), True)
                               for i in range(40)])
     q = fitted_q_iteration(moves, FQ_FAST)
-    pred = q.q_values(CHAIN_STATE_VECS["s1"].reshape(1, -1), np.array([0]))
+    pred = q_values(q, CHAIN_STATE_VECS["s1"].reshape(1, -1),
+                    np.array([0]))
     assert pred[0] == pytest.approx(10.0, abs=1e-9)
 
 
@@ -165,7 +169,7 @@ def test_fitness_npoints_matches_brute_force():
         variables = variables_from_features(states[i], SYN_FEATURES)
         chosen = evaluate_policy(ast, params, variables).act
         greedy_idx = int(np.argmax([
-            q.q_values(states[i:i + 1], np.array([a]))[0] for a in range(3)]))
+            q_values(q, states[i:i + 1], np.array([a]))[0] for a in range(3)]))
         brute += chosen == SYN_SCHEMA.actions[greedy_idx]
     assert value == brute
 
@@ -174,12 +178,12 @@ def test_fitness_npoints_bounds():
     rng = np.random.default_rng(11)
     states = _syn_states(rng, 80)
     q, _ = _fitted_models(rng, states)
-    greedy = q.greedy(states)
+    greedy_acts = greedy(q, states)
     all_a0 = _syn_template("A0")
     count_a0 = fitness_npoints(all_a0, [], states, SYN_FEATURES, q)
-    assert count_a0 == float(np.sum(greedy == 0))
+    assert count_a0 == float(np.sum(greedy_acts == 0))
     # a template that always picks an action the greedy policy never picks
-    never = _syn_template("A2") if (greedy != 2).all() else None
+    never = _syn_template("A2") if (greedy_acts != 2).all() else None
     if never is not None:
         assert fitness_npoints(never, [], states, SYN_FEATURES, q) == 0.0
 
@@ -199,7 +203,7 @@ def test_fitness_qval_matches_brute_force():
         a = SYN_SCHEMA.actions.index(evaluate_policy(ast, params, variables).act)
         p = clf.predict_proba(states[i:i + 1])[0, a]
         if p > cfg.delta:
-            brute += q.q_values(states[i:i + 1], np.array([a]))[0]
+            brute += q_values(q, states[i:i + 1], np.array([a]))[0]
         else:
             brute += cfg.r_punish
     assert value == pytest.approx(brute, abs=1e-9)
@@ -279,6 +283,32 @@ def test_npoints_twin_of_a_qval_fitness_matches_a_fresh_one():
     assert qval.mode == "qval"
     assert [qval.evaluate(np.array([g]), None) for g in (0.2, 0.5, 0.8)] == \
         before
+
+
+def test_corpus_fitness_computes_each_genome_once(monkeypatch):
+    rng = np.random.default_rng(21)
+    states = _syn_states(rng, 120)
+    q, clf = _fitted_models(rng, states)
+    ast = _syn_template("if top_slu_score > p0 then A2 else if slu_empty "
+                        "then A1 else A0")
+    cfg = QValConfig(delta=0.3, r_punish=-20.0)
+    genomes = [np.array([g]) for g in (0.2, 0.5, 0.2, 0.8, 0.5, 0.2)]
+    expected = [fitness_qval(ast, g, states, SYN_FEATURES, q, clf, cfg)
+                for g in genomes]
+    qval = CorpusFitness(ast, states, SYN_FEATURES, "qval", q, clf, cfg)
+    calls = []
+    batch = batch_rl.evaluate_policy_batch
+    monkeypatch.setattr(batch_rl, "evaluate_policy_batch",
+                        lambda *args: calls.append(args) or batch(*args))
+    assert [qval.evaluate(g, None) for g in genomes] == expected
+    assert len(calls) == 3
+    twin = qval.as_npoints()  # a copy that must not read qval's values
+    assert twin.evaluate(genomes[0], None) == \
+        fitness_npoints(ast, genomes[0], states, SYN_FEATURES, q)
+    assert len(calls) == 5
+    # the same bytes in another shape are a genome of their own
+    with pytest.raises(ArityMismatch):
+        qval.evaluate(genomes[0].reshape(1, 1), None)
 
 
 def test_eq4_zero_reward_corpus_scores_zero():
@@ -379,7 +409,7 @@ def test_fitness_npoints_perfect_agreement_reaches_count():
     X_sa = np.hstack([states, np.eye(3)[actions]])
     reg = ExtraTreesRegressor(20, None, 4, seed=6).fit(X_sa, targets)
     q = QModel(reg, SYN_SCHEMA.actions)
-    assert np.array_equal(q.greedy(states), np.zeros(len(states)))
+    assert np.array_equal(greedy(q, states), np.zeros(len(states)))
     always_a0 = _syn_template("A0")
     assert fitness_npoints(always_a0, [], states, SYN_FEATURES, q) == len(states)
 

@@ -630,6 +630,48 @@ def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+def _repeat_header_key(text, key):
+    header = json.loads(text)
+    return text[:-1] + f", {json.dumps(key)}: {json.dumps(header[key])}}}"
+
+
+@pytest.mark.parametrize("kind, text, code, message", [
+    ("ontology", '{"slots": {"food": ["a"], "food": ["b"]}}', 2,
+     "{path}: repeated key 'food'"),
+    ("ontology", '{"slots": {"food": ["a"]}, "slots": {"area": ["b"]}}', 2,
+     "{path}: repeated key 'slots'"),
+    ("params", '{"params": [0.3, 0.8, 0.5, 0.5], "params": [1, 1, 1, 1]}',
+     2, "{path}: repeated key 'params'"),
+    ("corpus", "feature_names", 3,
+     "bad header: repeated key 'feature_names' (line 1)"),
+], ids=["ontology-slot", "ontology-slots", "params", "corpus-header"])
+def test_repeated_json_keys_are_rejected(template_file, tmp_path, capsys,
+                                         kind, text, code, message):
+    # json keeps the last of repeated keys; each of these inputs used to run
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    argv = ["evaluate", "--out", str(tmp_path / "out"), "--seed", "1",
+            "--noise", "0.1", "--episodes", "2"]
+    path = tmp_path / f"{kind}.json"
+    if kind == "corpus":
+        path = _corpus_with_dialogs(template_file, tmp_path, 3)
+        lines = path.read_text().splitlines()
+        lines[0] = _repeat_header_key(lines[0], text)
+        path.write_text("\n".join(lines) + "\n")
+        params.write_text(json.dumps([0.3, 0.8, 0.5]))
+        argv += ["--template", str(_flat_template(tmp_path)), "--corpus",
+                 str(path), "--params", str(params)]
+    else:
+        path.write_text(text)
+        if kind == "ontology":
+            argv += ["--params", str(params)]
+        argv += ["--template", str(template_file), f"--{kind}", str(path)]
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == \
+        f"error: {message.format(path=path)}\n"
+
+
 def _fuzz_strategies(st, header):
     """Strategies of invalid ontology texts and invalid corpus headers, the
     latter as edits of the valid ``header``."""

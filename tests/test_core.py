@@ -1,8 +1,16 @@
+import copy
+import dataclasses
+import hashlib
+import inspect
+import pickle
+import random
+
 import numpy as np
 import pytest
 
-from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS, DialogAct,
-                          DialogState, NBestList, RewardConfig,
+from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS,
+                          ActionDecision, DialogAct, DialogState, NBestList,
+                          RewardConfig,
                           discounted_return, feature_names, featurize,
                           resolve_action, template_feature_columns,
                           variable_columns_from_features)
@@ -66,6 +74,35 @@ def test_discounted_return_gamma_one_is_plain_sum():
     assert discounted_return(rewards, 1.0) == pytest.approx(sum(rewards))
 
 
+def _episode_rewards(rng):
+    """Turn rewards of a simulated or corpus-style episode: a per-turn cost,
+    offer penalties on some turns, and a correct offer that may end it."""
+    per_turn, correct, duplicate, wrong = rng.choice(
+        [(-1.0, 100.0, -5.0, -5.0), (-10.0, 100.0, -50.0, -100.0)])
+    rewards = []
+    for _ in range(rng.randint(1, 30)):
+        u = rng.random()
+        rewards.append(per_turn + (wrong if u < 0.1 else
+                                   duplicate if u < 0.15 else 0.0))
+    if rng.random() < 0.6:
+        rewards[-1] = per_turn + correct
+    return rewards
+
+
+def test_discounted_return_adds_left_to_right():
+    # Python 3.12's builtin sum of floats is compensated and differs from
+    # left-to-right addition on about half of these lists, e.g. on the
+    # first one (-0x1.ed70a3d70a3d7p+2); the pins are the 3.11 returns.
+    assert discounted_return([-6.0, -1.0, -1.0], 0.9).hex() == \
+        "-0x1.ed70a3d70a3d8p+2"
+    rng = random.Random(2024)
+    returns = [discounted_return(_episode_rewards(rng), 0.9)
+               for _ in range(2000)]
+    assert hashlib.sha256(" ".join(r.hex() for r in returns).encode()) \
+        .hexdigest() == ("35ae1fb9310674fc51cf2d671e7ba9c8"
+                         "8ea5de917ff0305d13189009c8e19037")
+
+
 def test_reward_config_validates_gamma():
     with pytest.raises(ValueError):
         RewardConfig(-1.0, 100.0, -5.0, -5.0, gamma=0.0)
@@ -82,6 +119,75 @@ def test_nbest_requires_ordered_confidences():
         NBestList((b, DialogAct("inform", (("food", "thai"),))))
     assert NBestList((b, a)).top is b
     assert NBestList(()).is_empty
+
+
+_HYP = DialogAct("inform", (("food", "thai"),), 0.7)
+# one instance per value object with every field set, and per field a
+# different value
+_VALUE_OBJECTS = [
+    (DialogAct("deny", (("area", "north"),), 0.25),
+     {"act": "affirm", "slot_values": (), "confidence": None}),
+    (ActionDecision("Offer", "food", "thai", (("food", "thai"),), 3),
+     {"act": "Request", "slot": None, "value": "korean",
+      "offer_pairs": None, "clause_index": 0}),
+    (NBestList((_HYP, DialogAct("inform", (("food", "korean"),), 0.5))),
+     {"hypotheses": (_HYP,)}),
+    (DialogState({"food": {"thai": 0.5, "korean": 0.5}, "area": {}}, 0.5,
+                 False, "area", True, frozenset({(("food", "thai"),)}),
+                 "wrong", 4),
+     {"slot_beliefs": {"food": {}, "area": {"north": 1.0}},
+      "top_slu_score": 0.0, "slu_empty": True, "last_denied_slot": None,
+      "require_more_issued": False, "offered_results": frozenset(),
+      "last_offer_outcome": None, "turn_index": 5}),
+]
+
+
+@pytest.mark.parametrize("obj, other", _VALUE_OBJECTS,
+                         ids=lambda v: type(v).__name__)
+def test_value_objects_keep_the_dataclass_contract(obj, other):
+    cls = type(obj)
+    fields = dataclasses.fields(cls)
+    values = {f.name: getattr(obj, f.name) for f in fields if f.init}
+    assert set(other) == set(values)
+    # the class-body __init__ takes the dataclass's parameters and defaults
+    expected = [(name, f.default) for name, f in
+                cls.__dataclass_fields__.items() if f.init]
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in params] == [
+        (name, inspect.Parameter.empty if default is dataclasses.MISSING
+         else default) for name, default in expected]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert cls(*values.values()) == cls(**values) == obj
+    for name in values:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, other[name])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+        changed = dataclasses.replace(obj, **{name: other[name]})
+        assert getattr(changed, name) == other[name] != getattr(obj, name)
+        assert changed != obj
+        assert changed == cls(**{**values, name: other[name]})
+    assert repr(obj) == f"{cls.__name__}(" + ", ".join(
+        f"{f.name}={getattr(obj, f.name)!r}" for f in fields if f.repr) + ")"
+    key = tuple(getattr(obj, f.name) for f in fields if f.compare)
+    if cls is DialogState:  # its belief dicts make it unhashable
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(key) == hash(cls(**values))
+    assert obj != key and obj.__eq__(key) is NotImplemented
+    assert pickle.loads(pickle.dumps(obj)) == copy.copy(obj) == obj
+
+
+def test_state_tops_follow_the_beliefs_unless_given():
+    beliefs = {"food": {"thai": 0.5, "korean": 0.5}, "area": {}}
+    state = DialogState(beliefs)
+    assert state.tops == {"food": ("thai", 0.5), "area": None}
+    assert dataclasses.replace(state, slot_beliefs={"area": {"x": 0.1}}) \
+        .tops == {"area": ("x", 0.1)}
+    given = {"food": ("korean", 0.5), "area": None}
+    assert DialogState(beliefs, known_tops=given).tops is given
+    assert DialogState(beliefs, known_tops=given) == state
 
 
 def test_featurize_and_variables_agree():

@@ -264,6 +264,22 @@ def test_non_finite_header_reward_rejected(tmp_path):
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ('"action_set": ', '"action_set": ["x"], "action_set": ', "action_set"),
+    ('"gamma": ', '"gamma": 0.5, "gamma": ', "gamma"),
+], ids=["top-level", "reward-config"])
+def test_repeated_header_key_rejected(tmp_path, old, new, key):
+    path = _write(tmp_path, chain_corpus(2))
+    lines = path.read_text().splitlines()
+    assert lines[0].count(old) == 1
+    lines[0] = lines[0].replace(old, new)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusParseError,
+                       match=f"bad header: repeated key '{key}'") as err:
+        load_corpus(str(path))
+    assert err.value.line == 1
+
+
 def _replace_reward(key, value):
     def edit(rc):
         rc[key] = value

@@ -13,8 +13,9 @@ from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
                                PolicyError, SimulatedDialogEnv,
                                SimulationFitness, SluChannel,
                                evaluate_policy_sim, exploring_policy,
-                               run_episode, sample_goal, template_policy)
-from support import fitness_simulation
+                               Ontology, run_episode, sample_goal,
+                               template_policy)
+from support import ListSwapChannel, fitness_simulation
 
 RULE_PARAMS = [0.3, 0.8, 0.5, 0.5]
 
@@ -359,6 +360,46 @@ def test_state_tops_and_tracker_update_property(ontology):
         after = tracker.update(state, decision, nbest)
         assert state.slot_beliefs == before
         assert after.tops == tops_from_scratch(after)
+
+    check()
+
+
+def test_channel_swap_pools_match_the_list_swap_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = st.text("abc", min_size=1, max_size=2)
+    ontologies = st.dictionaries(names, st.lists(names, max_size=4),
+                                 min_size=1, max_size=3).map(
+        lambda slots: Ontology(tuple(slots),
+                               {s: tuple(v) for s, v in slots.items()}))
+
+    @st.composite
+    def cases(draw):
+        ontology = draw(ontologies)
+        # slots and values outside the ontology too, and repeated slots
+        pair = st.tuples(st.sampled_from(ontology.slots) | names,
+                         st.sampled_from(sum(ontology.values.values(), ()))
+                         | names if any(ontology.values.values()) else names)
+        acts = st.builds(DialogAct, st.sampled_from(["inform", "deny",
+                                                     "affirm", "negate"]),
+                         st.lists(pair, max_size=3).map(tuple))
+        cfg = NoiseConfig(draw(st.floats(0.0, 1.0)),
+                          nbest_size=draw(st.integers(1, 5)))
+        return ontology, cfg, draw(st.lists(acts, min_size=1, max_size=8))
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(case=cases(), seed=st.integers(0, 2 ** 64))
+    def check(case, seed):
+        ontology, cfg, acts = case
+        # two channels over one ontology share its pools, and later swaps
+        # reuse them
+        channels = SluChannel(ontology, cfg), SluChannel(ontology, cfg)
+        oracle = ListSwapChannel(ontology, cfg)
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for i, act in enumerate(acts * 3):
+            assert channels[i % 2].corrupt(act, ours) == \
+                oracle.corrupt(act, theirs)
+            assert ours.getstate() == theirs.getstate()
 
     check()
 
