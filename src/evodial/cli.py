@@ -84,6 +84,7 @@ def _load_template(path: str, ablate_ids=None):
     ast = dsl.parse_template(source)
     if ablate_ids:
         ast = dsl.ablate(ast, ablate_ids)
+    dsl.check_state_variables(ast)
     return ast
 
 

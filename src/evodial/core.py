@@ -132,19 +132,25 @@ class DialogState:
 
     def variables(self) -> dict[str, float | bool]:
         """Named state variables available to policy templates."""
-        tops = [top[1] if top else 0.0 for top in self.tops.values()]
-        n = len(tops) or 1
-        return {
-            "dialog_begin": self.turn_index == 0,
-            "slu_empty": self.slu_empty,
-            "slot_denied": self.last_denied_slot is not None,
-            "require_more_pending": not self.require_more_issued,
-            "top_slu_score": self.top_slu_score,
-            "min_slot_score": min(tops) if tops else 0.0,
-            "max_slot_score": max(tops) if tops else 0.0,
-            "filled_frac": sum(1 for t in tops if t > 0.5) / n,
-            "turn_frac": min(self.turn_index / DEFAULT_MAX_TURNS, 1.0),
-        }
+        return {name: get(self) for name, get in _VARIABLE_GETTERS.items()}
+
+
+# The template-visible state variables: each name's value is a Python
+# expression over a DialogState ``s``.  DialogState.variables() evaluates
+# them all; a compiled template (dsl) inlines the ones its clauses read.
+STATE_VARIABLES = {
+    "dialog_begin": "s.turn_index == 0",
+    "slu_empty": "s.slu_empty",
+    "slot_denied": "s.last_denied_slot is not None",
+    "require_more_pending": "not s.require_more_issued",
+    "top_slu_score": "s.top_slu_score",
+    "min_slot_score": "min([t[1] if t else 0.0 for t in s.tops.values()], default=0.0)",
+    "max_slot_score": "max([t[1] if t else 0.0 for t in s.tops.values()], default=0.0)",
+    "filled_frac":
+        "sum(1 for t in s.tops.values() if t and t[1] > 0.5) / (len(s.tops) or 1)",
+    "turn_frac": f"min(s.turn_index / {DEFAULT_MAX_TURNS}, 1.0)",
+}
+_VARIABLE_GETTERS = {name: eval(f"lambda s: {e}") for name, e in STATE_VARIABLES.items()}
 
 
 @dataclass(frozen=True)

@@ -304,6 +304,8 @@ def load_corpus(path: str) -> Corpus:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise CorpusParseError(f"invalid JSON: {exc.msg}", lineno) from None
+        except ValueError as exc:  # an integer of more than 4300 digits
+            raise CorpusParseError(f"bad transition record: {exc}", lineno) from None
         try:
             row = (lineno, obj["dialog_id"], obj["turn"], obj["s"], obj["a"],
                    obj["s_next"], obj["terminal"])

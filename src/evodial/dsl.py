@@ -32,12 +32,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .core import ActionDecision, DialogState, resolve_action
+from .core import (_BOOL_FEATURES, STATE_VARIABLES, ActionDecision,
+                   DialogState, resolve_action)
 
 EQ_TOLERANCE = 1e-9
 
@@ -45,6 +46,7 @@ _PARAM_RE = re.compile(r"^p(\d+)$")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 DEFAULT_OFFER_THRESHOLD = 0.5
+MAX_CONDITION_OPERATORS = 100  # 'and', 'or' and '(' tokens per clause
 
 
 class TemplateError(Exception):
@@ -240,6 +242,7 @@ class _Parser:
         self.pos = 0
         self.schema = schema
         self.param_refs: set[int] = set()
+        self.operators = 0  # since the clause's 'if'
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -247,6 +250,12 @@ class _Parser:
     def advance(self) -> _Token:
         tok = self.tokens[self.pos]
         self.pos += 1
+        if tok.kind in ("and", "or", "("):
+            self.operators += 1
+            if self.operators > MAX_CONDITION_OPERATORS:
+                raise TemplateSyntaxError(
+                    f"a clause may hold at most {MAX_CONDITION_OPERATORS} "
+                    f"'and', 'or' and '(' tokens", tok.line, tok.column)
         return tok
 
     def expect(self, kind: str) -> _Token:
@@ -263,6 +272,7 @@ class _Parser:
             tok = self.peek()
             if tok.kind == "if":
                 self.advance()
+                self.operators = 0
                 cond = self.parse_or()
                 self.expect("then")
                 action = self.parse_action()
@@ -362,16 +372,13 @@ def _split_sections(source: str) -> tuple[list[tuple[int, str]], list[tuple[int,
     header: list[tuple[int, str]] = []
     body: list[tuple[int, str]] = []
     in_body = False
-    found = False
     for lineno, line in enumerate(source.splitlines(), start=1):
         if not in_body and _strip_comment(line).strip() == "%%":
             in_body = True
-            found = True
             continue
         (body if in_body else header).append((lineno, line))
-    if not found:
-        return [], [(i, l) for i, l in enumerate(source.splitlines(), start=1)]
-    return header, body
+    # without a '%%' line the whole source is the body
+    return (header, body) if in_body else ([], header)
 
 
 def parse_template(source: str, schema: StateSchema | None = None) -> TemplateAst:
@@ -452,33 +459,79 @@ def pretty_print(ast: TemplateAst, include_schema: bool = True) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: each template compiles once into Python source
 # ---------------------------------------------------------------------------
+# The ``state`` target reads a variable off a DialogState by its expression in
+# ``core.STATE_VARIABLES``, the ``mapping`` target by ``get(k)``, where a clause
+# first evaluates it; ``&``/``|`` never short-circuit.  Only the compiler's own
+# names, numeric indices and label repr()s enter the source, never a template name.
 
-def _eval_cond(node: CondExpr, variables: Mapping, params: Sequence[float]):
-    """Truth of a condition on one state or on a batch of states.
-
-    ``variables`` maps names to scalars (one state; the result is a bool) or
-    to equal-length arrays (a batch; the result is a bool array).  Boolean
-    variables must already hold bools, since ``and``/``or`` are ``&``/``|``.
-    """
+def _cond_source(node: CondExpr, target: str, seen: dict[str, int]) -> str:
     if isinstance(node, LogicNode):
-        left = _eval_cond(node.left, variables, params)
-        right = _eval_cond(node.right, variables, params)
-        return (left & right) if node.op == "and" else (left | right)
+        return "({} {} {})".format(_cond_source(node.left, target, seen),
+                                   "&" if node.op == "and" else "|",
+                                   _cond_source(node.right, target, seen))
     name = node.name if isinstance(node, BoolVar) else node.var
-    try:
-        value = variables[name]
-    except KeyError:
-        raise MissingStateVariable(f"state has no variable {name!r}") from None
+    if name in seen:
+        value = f"v{seen[name]}"
+    else:
+        k = seen[name] = len(seen)
+        expr = STATE_VARIABLES.get(name) if target == "state" else None
+        value = f"(v{k} := ({expr or f'get({k})'}))"
     if isinstance(node, BoolVar):
         return value
-    p = params[node.param]
-    if node.op == "<":
-        return value < p
-    if node.op == ">":
-        return value > p
-    return abs(value - p) <= EQ_TOLERANCE
+    if node.op in ("<", ">"):
+        return f"({value} {node.op} p{node.param:d})"
+    return f"(abs({value} - p{node.param:d}) <= {EQ_TOLERANCE!r})"
+
+
+@lru_cache(maxsize=128)
+def _compile(ast: TemplateAst, target: str) -> tuple[Callable, tuple[str, ...]]:
+    """``(bind, names)``, where ``get(k)`` reads variable ``names[k]``: for
+    ``state``, ``bind(get, *params)`` returns a decision function of a
+    DialogState; for ``mapping`` it yields each condition's truth in turn."""
+    seen: dict[str, int] = {}
+    params = "".join(f", p{i}" for i in range(ast.param_count))
+    lines = [f"def bind(get{params}):"]
+    if target == "state":
+        lines.append(" def decide(s):")
+        for i, clause in enumerate(ast.clauses):
+            ref = dict(clause.action.structural_params).get("filter")  # last
+            threshold = DEFAULT_OFFER_THRESHOLD if ref is None else f"p{ref:d}"
+            action = f"return resolve_action({clause.action.act!r}, s, {threshold}, {i:d})"
+            cond = clause.condition and _cond_source(clause.condition, target, seen)
+            lines.append(f"  if {cond}: {action}" if cond else f"  {action}")
+        lines.append(" return decide")
+    else:
+        lines += [f" yield {_cond_source(c.condition, target, seen)}"
+                  for c in ast.clauses if c.condition] or [" yield from ()"]
+    namespace: dict = {}
+    # resolve_action is looked up in this module's globals at call time
+    exec(compile("\n".join(lines), f"<template {target}>", "exec"), globals(),
+         namespace)
+    return namespace["bind"], tuple(seen)
+
+
+def _reader(names: tuple[str, ...], mapping: Mapping,
+            kinds: Mapping[str, Callable]) -> Callable[[int], object]:
+    """``get(k)``: variable ``names[k]`` of ``mapping``, coerced by its kind
+    if it has one."""
+    def get(k: int):
+        if names[k] not in mapping:
+            raise MissingStateVariable(f"state has no variable {names[k]!r}")
+        kind = kinds.get(names[k])
+        return mapping[names[k]] if kind is None else kind(mapping[names[k]])
+    return get
+
+
+def check_state_variables(ast: TemplateAst) -> None:
+    """MissingStateVariable if a clause reads a variable that the dialog
+    state, and so a corpus, lacks or holds as the other kind."""
+    for name in _compile(ast, "mapping")[1]:
+        is_bool = name in ast.schema.bool_vars
+        if name not in STATE_VARIABLES or is_bool != (name in _BOOL_FEATURES):
+            raise MissingStateVariable(f"the dialog state has no "
+                                       f"{'bool' if is_bool else 'number'} {name!r}")
 
 
 def _check_arity(ast: TemplateAst, params: Sequence[float]) -> list[float]:
@@ -498,38 +551,25 @@ def evaluate_policy(ast: TemplateAst, params: Sequence[float],
     read as ``bool`` (any truthy value sets a boolean variable) or ``float``
     (label and clause index only).
     """
-    return _first_match(ast, _check_arity(ast, params), state)
+    if isinstance(state, DialogState):
+        return template_policy(ast, params)(state)
+    kinds = dict.fromkeys(ast.schema.bool_vars, bool) | \
+        dict.fromkeys(ast.schema.num_vars, float)
+    bind, names = _compile(ast, "mapping")
+    conds = bind(_reader(names, state, kinds), *_check_arity(ast, params))
+    for i, clause in enumerate(ast.clauses):
+        if clause.condition is None or next(conds):
+            return ActionDecision(clause.action.act, clause_index=i)
+    raise AssertionError("unreachable: final clause is unconditional")
 
 
 def template_policy(ast: TemplateAst, params: Sequence[float]
                     ) -> Callable[[DialogState], ActionDecision]:
-    """``evaluate_policy`` with the parameters bound, checked once here
-    rather than on every call."""
-    return partial(_first_match, ast, _check_arity(ast, params))
-
-
-def _first_match(ast: TemplateAst, values: list[float],
-                 state: DialogState | Mapping[str, float | bool]) -> ActionDecision:
-    if isinstance(state, DialogState):
-        variables = state.variables()
-    else:
-        kinds = dict.fromkeys(ast.schema.bool_vars, bool) | \
-            dict.fromkeys(ast.schema.num_vars, float)
-        variables = {k: kinds[k](v) if k in kinds else v for k, v in state.items()}
-    for i, clause in enumerate(ast.clauses):
-        if clause.condition is not None and \
-                not _eval_cond(clause.condition, variables, values):
-            continue
-        spec = clause.action
-        if isinstance(state, DialogState):
-            threshold = DEFAULT_OFFER_THRESHOLD
-            for key, ref in spec.structural_params:
-                if key == "filter":
-                    threshold = values[ref]
-            return resolve_action(spec.act, state, offer_threshold=threshold,
-                                  clause_index=i)
-        return ActionDecision(spec.act, clause_index=i)
-    raise AssertionError("unreachable: final clause is unconditional")
+    """``evaluate_policy`` on DialogStates with the parameters bound,
+    checked once here rather than on every call."""
+    values = _check_arity(ast, params)
+    bind, names = _compile(ast, "state")
+    return bind(_reader(names, {}, {}), *values)
 
 
 def evaluate_policy_batch(ast: TemplateAst, params: Sequence[float],
@@ -541,17 +581,14 @@ def evaluate_policy_batch(ast: TemplateAst, params: Sequence[float],
     ``action_index`` maps action labels to output codes (labels missing from
     it are coded -1).  Returns one action code per state.
     """
-    values = _check_arity(ast, params)
-    columns = {**columns, **{name: np.asarray(columns[name], dtype=bool)
-                             for name in ast.schema.bool_vars if name in columns}}
+    bind, names = _compile(ast, "mapping")
+    kinds = dict.fromkeys(ast.schema.bool_vars, partial(np.asarray, dtype=bool))
+    conds = bind(_reader(names, columns, kinds), *_check_arity(ast, params))
     n = len(next(iter(columns.values())))
     out = np.full(n, -1, dtype=np.int64)
     undecided = np.ones(n, dtype=bool)
     for clause in ast.clauses:
-        if clause.condition is None:
-            fired = undecided
-        else:
-            fired = undecided & _eval_cond(clause.condition, columns, values)
+        fired = undecided if clause.condition is None else undecided & next(conds)
         out[fired] = action_index.get(clause.action.act, -1)
         undecided = undecided & ~fired
         if not undecided.any():

@@ -104,9 +104,6 @@ class TraceRow:
 class GenerationTrace:
     rows: list[TraceRow] = field(default_factory=list)
 
-    def best_history(self) -> list[float]:
-        return [r.best_fitness for r in self.rows]
-
     def write_csv(self, fp: IO[str]) -> None:
         writer = csv.writer(fp)
         writer.writerow(["generation", "best_fitness", "mean_fitness", "std_fitness"])

@@ -375,9 +375,6 @@ class EpisodeLog:
     final_state: DialogState
     n_turns: int
 
-    def rewards(self) -> list[float]:
-        return [t.reward for t in self.turns]
-
 
 class SimulatedDialogEnv:
     """Turn-level environment: system decision in, tracked state out."""

@@ -1,10 +1,11 @@
-"""Shared test machinery: grammar-level template generators, the row-wise
-state variables, the per-state reward, test-only Q-model views, the
+"""Shared test machinery: grammar-level template generators, the template
+interpreter as the oracle of the compiled templates, the row-wise state
+variables, the per-state reward, test-only Q-model views, the
 structured-view row grouping, tree-by-tree prediction, the record-by-record
-corpus writer and the SLU channel's list-copying swap as oracles,
-a one-shot simulation fitness, enumerable MDP corpora with exact
-dynamic-programming oracles, and a robust peak estimator for heavily skewed
-samples."""
+corpus writer and the SLU channel's list-copying swap as oracles, episode
+rewards and best-fitness histories, a one-shot simulation fitness,
+enumerable MDP corpora with exact dynamic-programming oracles, and a robust
+peak estimator for heavily skewed samples."""
 from __future__ import annotations
 
 import json
@@ -17,13 +18,16 @@ import numpy as np
 
 from evodial.batch_rl import QModel, _one_hot
 from evodial.core import (_BOOL_FEATURES, OFFER_CORRECT, OFFER_DUPLICATE,
-                          OFFER_WRONG, DialogAct, DialogState, NBestList,
-                          RewardConfig, _schema_slots)
+                          OFFER_WRONG, ActionDecision, DialogAct, DialogState,
+                          NBestList, RewardConfig, _schema_slots,
+                          resolve_action)
 from evodial.corpus_io import Corpus, CorpusHeader, _g17
-from evodial.dsl import (ActionSpec, BoolVar, Clause, Comparison, LogicNode,
-                         StateSchema, TemplateAst)
-from evodial.simulator import (NoiseConfig, Ontology, SimulationFitness,
-                               default_ontology)
+from evodial.dsl import (DEFAULT_OFFER_THRESHOLD, EQ_TOLERANCE, ActionSpec,
+                         BoolVar, Clause, Comparison, LogicNode,
+                         MissingStateVariable, StateSchema, TemplateAst)
+from evodial.evolution import GenerationTrace
+from evodial.simulator import (EpisodeLog, NoiseConfig, Ontology,
+                               SimulationFitness, default_ontology)
 
 # ---------------------------------------------------------------------------
 # Random templates over the policy grammar
@@ -96,6 +100,87 @@ def random_state_columns(rng: np.random.Generator, schema: StateSchema,
 
 
 # ---------------------------------------------------------------------------
+# The template interpreter: the oracle of the compiled templates
+# ---------------------------------------------------------------------------
+
+def eval_cond(node, variables, params):
+    """Truth of a condition on one state or on a batch of states, by a walk
+    of its tree.
+
+    ``variables`` maps names to scalars (one state; the result is a bool) or
+    to equal-length arrays (a batch; the result is a bool array).  Boolean
+    variables must already hold bools, since ``and``/``or`` are ``&``/``|``.
+    """
+    if isinstance(node, LogicNode):
+        left = eval_cond(node.left, variables, params)
+        right = eval_cond(node.right, variables, params)
+        return (left & right) if node.op == "and" else (left | right)
+    name = node.name if isinstance(node, BoolVar) else node.var
+    try:
+        value = variables[name]
+    except KeyError:
+        raise MissingStateVariable(f"state has no variable {name!r}") from None
+    if isinstance(node, BoolVar):
+        return value
+    p = params[node.param]
+    if node.op == "<":
+        return value < p
+    if node.op == ">":
+        return value > p
+    return abs(value - p) <= EQ_TOLERANCE
+
+
+def interpret_policy(ast: TemplateAst, params, state) -> ActionDecision:
+    """``evaluate_policy`` by the interpreter: a DialogState's variables
+    come from ``DialogState.variables()``, a mapping's through the schema's
+    ``bool``/``float`` coercion."""
+    values = [float(v) for v in params]
+    assert len(values) == ast.param_count
+    if isinstance(state, DialogState):
+        variables = state.variables()
+    else:
+        kinds = dict.fromkeys(ast.schema.bool_vars, bool) | \
+            dict.fromkeys(ast.schema.num_vars, float)
+        variables = {k: kinds[k](v) if k in kinds else v
+                     for k, v in state.items()}
+    for i, clause in enumerate(ast.clauses):
+        if clause.condition is not None and \
+                not eval_cond(clause.condition, variables, values):
+            continue
+        spec = clause.action
+        if isinstance(state, DialogState):
+            threshold = DEFAULT_OFFER_THRESHOLD
+            for key, ref in spec.structural_params:
+                if key == "filter":
+                    threshold = values[ref]
+            return resolve_action(spec.act, state, offer_threshold=threshold,
+                                  clause_index=i)
+        return ActionDecision(spec.act, clause_index=i)
+    raise AssertionError("unreachable: final clause is unconditional")
+
+
+def interpret_policy_batch(ast: TemplateAst, params, columns,
+                           action_index) -> np.ndarray:
+    """``evaluate_policy_batch`` by the interpreter."""
+    values = [float(v) for v in params]
+    columns = {**columns, **{name: np.asarray(columns[name], dtype=bool)
+                             for name in ast.schema.bool_vars if name in columns}}
+    n = len(next(iter(columns.values())))
+    out = np.full(n, -1, dtype=np.int64)
+    undecided = np.ones(n, dtype=bool)
+    for clause in ast.clauses:
+        if clause.condition is None:
+            fired = undecided
+        else:
+            fired = undecided & eval_cond(clause.condition, columns, values)
+        out[fired] = action_index.get(clause.action.act, -1)
+        undecided = undecided & ~fired
+        if not undecided.any():
+            break
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Row-wise state variables: the oracle of the column-wise derivation
 # ---------------------------------------------------------------------------
 
@@ -141,6 +226,16 @@ def reward(s: DialogState, a: str, s_next: DialogState, cfg: RewardConfig) -> fl
     elif outcome == OFFER_WRONG:
         r += cfg.wrong_offer
     return r
+
+
+def episode_rewards(log: EpisodeLog) -> list[float]:
+    """The turn rewards of a recorded episode."""
+    return [t.reward for t in log.turns]
+
+
+def best_history(trace: GenerationTrace) -> list[float]:
+    """The best fitness of each generation."""
+    return [r.best_fitness for r in trace.rows]
 
 
 def fitness_simulation(ast: TemplateAst, params: Sequence[float],

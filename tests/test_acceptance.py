@@ -29,7 +29,8 @@ from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, HEURISTIC_PARAMS,
                                evaluate_policy_sim, make_synthetic_corpus,
                                template_policy)
 from support import (CHAIN_ACTIONS, CHAIN_STATE_VECS, SphereFitness,
-                     chain_corpus, chain_value_iteration, fitted_peak,
+                     best_history, chain_corpus, chain_value_iteration,
+                     fitted_peak,
                      q_values, random_template, variables_from_features)
 
 ONTOLOGY = default_ontology()
@@ -44,7 +45,7 @@ _TRACKED_TRACES: list[list[float]] = []
 
 def _run_ga_tracked(fitness, cfg, n_workers=1):
     best, trace = run_ga(fitness, cfg, n_workers=n_workers)
-    history = trace.best_history()
+    history = best_history(trace)
     assert all(b >= a for a, b in zip(history, history[1:])), \
         "elitism monotonicity violated"
     _TRACKED_TRACES.append(history)

@@ -5,13 +5,17 @@ import math
 import multiprocessing
 import pickle
 import pkgutil
+import random
+import re
 from pathlib import Path
 
 import pytest
 
-from evodial import batch_rl, corpus_io, evolution, trees
+from evodial import batch_rl, corpus_io, evolution, simulator, trees
 from evodial.cli import main
+from evodial.dsl import StateSchema, pretty_print
 from evodial.simulator import default_template_text
+from support import random_template
 
 TEMPLATE = Path("src/evodial/data/restaurant.policy")
 
@@ -630,6 +634,78 @@ def test_bad_flags_are_config_errors(template_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+_RUNS = ["train-sim", "evaluate", "make-corpus", "train-corpus",
+         "evaluate-corpus"]
+_FOO = (("num min_slot_score\n", "num min_slot_score\nnum foo\n"),
+        ("slot_denied then", "slot_denied or foo > p0 then"))
+
+
+@pytest.mark.parametrize("run, edits, message", [
+    *((run, _FOO, "the dialog state has no number 'foo'") for run in _RUNS),
+    # the state's turn_frac is a float: 'slot_denied or turn_frac' raises
+    # TypeError on the first turn that reaches the clause
+    ("evaluate", (("num min_slot_score\n", "num min_slot_score\nbool "
+                   "turn_frac\n"),
+                  ("slot_denied then", "slot_denied or turn_frac then")),
+     "the dialog state has no bool 'turn_frac'"),
+    ("train-corpus", (("bool slot_denied", "num slot_denied"),
+                      ("slot_denied then", "slot_denied > p0 then")),
+     "the dialog state has no number 'slot_denied'")],
+    ids=[*_RUNS, "evaluate-bool-number", "train-corpus-number-bool"])
+def test_template_reading_an_unknown_variable_exits_before_any_work(
+        template_file, tmp_path, capsys, monkeypatch, run, edits, message):
+    # the variable is declared, so the template parses, but no state
+    # provides it as declared
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    for owner, name in ((simulator, "run_episode"), (evolution, "run_ga"),
+                        (corpus_io, "load_corpus")):
+        monkeypatch.setattr(owner, name, _too_early)
+    text = default_template_text()
+    for old, new in edits:
+        text = text.replace(old, new)
+    if run in ("train-corpus", "evaluate-corpus"):
+        text = text.replace("Offer(filter=p3)", "Offer")
+    template = tmp_path / "foo.template"
+    template.write_text(text, encoding="utf-8")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5] if "filter" in text
+                                 else [0.3, 0.8, 0.5]))
+    command = "evaluate" if run == "evaluate-corpus" else run
+    argv = [command, "--template", str(template), "--out",
+            str(tmp_path / "out"), "--seed", "1"]
+    argv += {"train-sim": _SMALL_RUN["train-sim"],
+             "evaluate": [*_SMALL_RUN["evaluate"], "--params", str(params)],
+             "make-corpus": _SMALL_RUN["make-corpus"],
+             "train-corpus": [*_SMALL_RUN["train-corpus"], "--corpus",
+                              str(corpus)],
+             "evaluate-corpus": ["--params", str(params), "--corpus",
+                                 str(corpus)]}[run]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["train-corpus", "evaluate"])
+def test_oversized_corpus_integer_is_parse_error(template_file, tmp_path,
+                                                 capsys, command):
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    lines = corpus.read_text().splitlines()
+    lines[2] = lines[2].replace('"dialog_id": 0', '"dialog_id": ' + "9" * 5000)
+    corpus.write_text("\n".join(lines) + "\n")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5]))
+    argv = [command, "--template", str(_flat_template(tmp_path)), "--corpus",
+            str(corpus), "--out", str(tmp_path / "o"), "--seed", "1",
+            *(["--params", str(params)] if command == "evaluate"
+              else _SMALL_RUN["train-corpus"])]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad transition record: Exceeds the limit")
+    assert err.endswith(" (line 3)\n") and err.count("\n") == 1
+
+
 def _repeat_header_key(text, key):
     header = json.loads(text)
     return text[:-1] + f", {json.dumps(key)}: {json.dumps(header[key])}}}"
@@ -796,5 +872,81 @@ def test_fuzzed_ontology_and_corpus_header_exit_without_traceback(
             assert 2 <= code <= 5, (argv[0], text, code)
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert "Traceback" not in err
+
+    check()
+
+
+_TEMPLATE_TOKENS = ("if", "then", "else", "and", "or", "(", ")", "<", ">",
+                    "==", "=", ",", "p0", "p3", "p9", "p-1", "%%", "#", "\n",
+                    "bool", "num", "action", "foo", "lambda", "__import__",
+                    "s", "get", "Offer(filter=p0)", "Offer(p0=filter)", "é",
+                    "\x00", "1e5", "(" * 101, " or slu_empty" * 101,
+                    "bool slu_empty\n", "bool turn_frac\n",
+                    "action Repeat\n")
+
+
+def _template_texts(st, shipped: str):
+    """The shipped template with tokens deleted or inserted, and random
+    templates over state variables and odd names."""
+    pieces = re.split(r"(\s+)", shipped)
+
+    def edited(edits):
+        out = list(pieces)
+        for position, token in edits:
+            i = int(position * len(out))
+            out[i:i + 1] = [token] if token is not None else []
+        return "".join(out)
+
+    edits = st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                               st.none() | st.sampled_from(_TEMPLATE_TOKENS)),
+                     min_size=1, max_size=3)
+    names = st.lists(st.sampled_from(
+        ("dialog_begin", "slu_empty", "slot_denied", "top_slu_score",
+         "min_slot_score", "turn_frac", "lambda", "s", "__import__")),
+        min_size=2, max_size=5, unique=True)
+    schemas = names.flatmap(lambda n: st.integers(1, len(n) - 1).map(
+        lambda k: StateSchema(tuple(n[:k]), tuple(n[k:]),
+                              ("Welcome", "Repeat", "Request", "Offer"))))
+    generated = st.builds(
+        lambda schema, seed: pretty_print(random_template(
+            random.Random(seed), schema=schema)),
+        schemas, st.integers(0, 2 ** 32))
+    return edits.map(edited) | generated
+
+
+def test_fuzzed_templates_exit_without_traceback(template_file, tmp_path,
+                                                 capsys, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5]))
+    template = tmp_path / "fuzzed.template"
+    common = ["--template", str(template), "--out", str(tmp_path / "out"),
+              "--seed", "1"]
+    runs = {"train-sim": ["train-sim", *_SMALL_RUN["train-sim"]],
+            "evaluate": ["evaluate", *_SMALL_RUN["evaluate"], "--params",
+                         str(params)],
+            "make-corpus": ["make-corpus", *_SMALL_RUN["make-corpus"]],
+            "train-corpus": ["train-corpus", *_SMALL_RUN["train-corpus"],
+                             "--corpus", str(corpus), "--pop", "4",
+                             "--n-mut", "1", "--k", "2", "--generations", "1"],
+            "evaluate-corpus": ["evaluate", "--params", str(params),
+                                "--corpus", str(corpus), "--l-max", "2",
+                                "--trees", "2"]}
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(text=_template_texts(st, default_template_text()),
+                      run=st.sampled_from(sorted(runs)))
+    def check(text, run):
+        template.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(runs[run][:1] + common + runs[run][1:])
+        err = capsys.readouterr().err
+        assert code == 0 or 2 <= code <= 5, (run, text, code)
+        assert code == 0 or (err.startswith("error: ")
+                             and err.count("\n") == 1), err
+        assert "Traceback" not in err
 
     check()

@@ -110,6 +110,21 @@ def test_mistyped_scalar_field_rejected_with_line(tmp_path, field, literal):
     assert err.value.line == 3
 
 
+@pytest.mark.parametrize("field, literal", [
+    ('"dialog_id": 0', '"dialog_id": ' + "9" * 5000),
+    ('"s": [0, 1', '"s": [0, ' + "1" * 4301),
+], ids=["dialog-id", "feature"])
+def test_oversized_integer_rejected_with_line(tmp_path, field, literal):
+    # json refuses an integer of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    lines = _write(tmp_path, chain_corpus(2)).read_text().splitlines()
+    lines[2] = lines[2].replace(field, literal)
+    with pytest.raises(CorpusParseError, match="bad transition record: "
+                                               "Exceeds the limit") as err:
+        load_corpus(str(_rewritten(tmp_path, lines)))
+    assert err.value.line == 3
+
+
 @pytest.mark.parametrize("extra", ['"note": 1', '"s_prev": []'],
                          ids=["number", "list"])
 def test_unknown_record_key_rejected_with_line(tmp_path, extra):

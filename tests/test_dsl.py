@@ -1,17 +1,22 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
-from evodial.core import (ACTIONS, DialogState, feature_names, featurize,
+from evodial.core import (ACTIONS, SIM_REWARDS, STATE_VARIABLES,
+                          ActionDecision, DialogState, feature_names, featurize,
                           variable_columns_from_features)
-from evodial.dsl import (ArityMismatch, BoolVar, Clause, Comparison,
-                         DanglingElse, LogicNode, MissingStateVariable,
-                         StateSchema, TemplateSyntaxError,
-                         TemplateValidationError, UnknownIdentifier, ablate,
-                         evaluate_policy, evaluate_policy_batch,
-                         parse_template, pretty_print)
-from support import random_state_columns, random_template
+from evodial.dsl import (EQ_TOLERANCE, ArityMismatch, BoolVar, Clause,
+                         Comparison, DanglingElse, LogicNode,
+                         MissingStateVariable, StateSchema,
+                         TemplateSyntaxError, TemplateValidationError,
+                         UnknownIdentifier, _compile, ablate, evaluate_policy,
+                         evaluate_policy_batch, parse_template, pretty_print,
+                         template_policy)
+from evodial.simulator import NoiseConfig, SimulatedDialogEnv, run_episode
+from support import (interpret_policy, interpret_policy_batch,
+                     random_state_columns, random_template)
 
 SCHEMA = StateSchema(
     bool_vars=("a", "b", "slu_empty"),
@@ -311,3 +316,217 @@ def test_ablate_drops_clause(restaurant_ast):
 def test_ablate_rejects_bad_index(restaurant_ast):
     with pytest.raises(TemplateValidationError):
         ablate(restaurant_ast, [6])  # only c0..c5 are conditional
+
+
+# ---------------------------------------------------------------------------
+# Compiled templates against the interpreter
+# ---------------------------------------------------------------------------
+
+_TABLE_BOOLS = ("dialog_begin", "slu_empty", "slot_denied",
+                "require_more_pending")
+_TABLE_NUMS = ("top_slu_score", "min_slot_score", "max_slot_score",
+               "filled_frac", "turn_frac")
+# Python keywords, builtins and the compiler's own identifiers are all legal
+# template names; none may change what a template decides
+_ODD_NAMES = ("lambda", "s", "get", "__import__", "abs", "v0", "t", "None",
+              "yield", "bind", "decide", "resolve_action", "p_0")
+_LABELS = (*ACTIONS, "class")
+_EDGES = (0.0, 0.0, EQ_TOLERANCE, -EQ_TOLERANCE,
+          math.nextafter(EQ_TOLERANCE, 1.0), 2 * EQ_TOLERANCE)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _odd_templates(st, var_names):
+    """Templates over a schema drawn from ``var_names`` and the odd names,
+    with nested conditions, ``filter`` parameters and ablated clauses."""
+
+    @st.composite
+    def templates(draw):
+        names = draw(st.lists(st.sampled_from(var_names), min_size=2,
+                              max_size=7, unique=True))
+        names += [n for n in draw(st.lists(st.sampled_from(_ODD_NAMES),
+                                           max_size=2, unique=True))
+                  if n not in names]
+        names = draw(st.permutations(names))
+        split = draw(st.integers(1, len(names) - 1))
+        labels = draw(st.lists(st.sampled_from(_LABELS), min_size=1,
+                               max_size=4, unique=True))
+        schema = StateSchema(tuple(names[:split]), tuple(names[split:]),
+                             tuple(labels))
+        ast = random_template(random.Random(draw(st.integers(0, 2 ** 32))),
+                              schema=schema)
+        assert parse_template(pretty_print(ast)) == ast  # a legal template
+        n_cond = ast.conditional_clause_count()
+        drop = draw(st.lists(st.integers(0, max(n_cond - 1, 0)), max_size=2,
+                             unique=True)) if n_cond else []
+        return ablate(ast, drop)
+
+    return templates()
+
+
+def _params(draw, st, ast, own):
+    """Parameters at the state's own values or anywhere in [0, 1], or at
+    the tolerance edge around them; around 0.0 the edge is exact."""
+    bases = st.just(0.0) | st.floats(0.0, 1.0) | st.sampled_from(own or [0.5])
+    return [draw(bases) + draw(st.sampled_from(_EDGES))
+            for _ in range(ast.param_count)]
+
+
+def _episode_states(ontology, restaurant_ast):
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), SIM_REWARDS)
+    policy = template_policy(restaurant_ast, [0.3, 0.8, 0.5, 0.5])
+    states = []
+    for seed, rate in enumerate((0.0, 0.2, 0.4, 0.6)):
+        log = run_episode(policy, env, random.Random(seed), error_rate=rate)
+        states += [t.state for t in log.turns] + [log.final_state]
+    return states
+
+
+def test_compiled_state_policy_matches_the_interpreter_property(
+        ontology, restaurant_ast):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # tied and empty beliefs: 0.5 is the filled_frac cut, ties go to
+    # the larger value
+    score = st.sampled_from((0.0, 0.3, 0.5, 1.0)) | st.floats(0.0, 1.0)
+    synthetic = st.builds(
+        DialogState,
+        slot_beliefs=st.fixed_dictionaries({
+            slot: st.dictionaries(st.sampled_from(ontology.values[slot][:3]),
+                                  score, max_size=3)
+            for slot in ontology.slots}),
+        top_slu_score=score, slu_empty=st.booleans(),
+        last_denied_slot=st.none() | st.sampled_from(ontology.slots),
+        require_more_issued=st.booleans(), turn_index=st.integers(0, 40))
+    states = st.sampled_from(_episode_states(ontology, restaurant_ast)) \
+        | synthetic
+    # the shipped template with clauses dropped reaches Offer(filter=p3)
+    # often, and with all of them dropped on every state
+    templates = st.sets(st.integers(0, 5)).map(
+        lambda drop: ablate(restaurant_ast, sorted(drop))) | st.just(
+        ablate(restaurant_ast, range(6))) | _odd_templates(
+        st, _TABLE_BOOLS + _TABLE_NUMS)
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+    @hypothesis.given(ast=templates, state=states, draw=st.data())
+    def check(ast, state, draw):
+        own = [v for v in state.variables().values()
+               if not isinstance(v, bool)]
+        params = _params(draw.draw, st, ast, own)
+        expected = _outcome(lambda: interpret_policy(ast, params, state))
+        assert _outcome(lambda: evaluate_policy(ast, params, state)) == \
+            expected
+        assert _outcome(lambda: template_policy(ast, params)(state)) == \
+            expected
+
+    check()
+
+
+def test_compiled_batch_and_mapping_match_the_interpreter_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    names = ("flag", "score", "other") + _ODD_NAMES
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(ast=_odd_templates(st, names), draw=st.data())
+    def check(ast, draw):
+        params = _params(draw.draw, st, ast, [])
+        n = draw.draw(st.integers(1, 6))
+        near = st.sampled_from(params or [0.5]).flatmap(
+            lambda p: st.sampled_from([p + e for e in _EDGES]))
+        cols = {}
+        for name in ast.schema.bool_vars:  # 1 & 2 is 0, True & True is not
+            cols[name] = np.array(draw.draw(st.lists(
+                st.integers(0, 2), min_size=n, max_size=n)))
+        for name in ast.schema.num_vars:
+            cols[name] = np.array(draw.draw(st.lists(
+                near | st.floats(0.0, 1.0), min_size=n, max_size=n)),
+                dtype=np.float64)
+        for name in draw.draw(st.lists(st.sampled_from(sorted(cols)),
+                                       max_size=1)):
+            del cols[name]  # a missing variable, read or not
+        if not cols:
+            return
+        index = {a: i for i, a in enumerate(ast.schema.actions[1:])}
+        assert _outcome(lambda: evaluate_policy_batch(
+            ast, params, cols, index).tolist()) == _outcome(
+            lambda: interpret_policy_batch(ast, params, cols, index).tolist())
+        for i in range(n):
+            row = {k: v[i] for k, v in cols.items()}
+            assert _outcome(lambda: evaluate_policy(ast, params, row)) == \
+                _outcome(lambda: interpret_policy(ast, params, row))
+
+    check()
+
+
+def _code_names(code) -> set[str]:
+    names = {*code.co_names, *code.co_varnames, *code.co_freevars}
+    names |= {c for c in code.co_consts if isinstance(c, str)}
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _code_names(const)
+    return names
+
+
+@pytest.mark.parametrize("target", ["state", "mapping"])
+def test_compiled_source_holds_no_template_name(target):
+    schema = StateSchema(("zz_flag", "slu_empty"), ("zz_score",),
+                         ("zz_Act", "Offer"))
+    ast = parse_template("if zz_flag or zz_score == p0 then zz_Act "
+                         "else if slu_empty and zz_score < p1 then Offer "
+                         "else Offer(filter=p2)", schema)
+    bind, names = _compile(ast, target)
+    assert names == ("zz_flag", "zz_score", "slu_empty")
+    seen = _code_names(bind.__code__)
+    # labels enter as repr()s, so as string constants; variable names never
+    assert {n for n in seen if n.startswith("zz_")} <= {"zz_Act"}
+    if target == "state":  # read off the DialogState's attribute
+        assert "slu_empty" in seen
+
+
+def test_clause_size_is_bounded():
+    # deep nesting used to end in a RecursionError, and the compiled source
+    # may nest only so deep
+    schema = StateSchema(("a",), ("x",), ("X", "Y"))
+    state = {"a": False, "x": 0.5}
+    for cond in (" or ".join(["a"] * 101),
+                 "(" * 50 + "a" + " and x == p0)" * 50):
+        ast = parse_template(f"if {cond} then X else Y", schema)
+        params = [0.5] * ast.param_count
+        assert evaluate_policy(ast, params, state) == \
+            interpret_policy(ast, params, state) == ActionDecision("Y",
+                                                                   clause_index=1)
+    for cond in (" or ".join(["a"] * 102), "(" * 101 + "a" + ")" * 101,
+                 "(" * 2000 + "a" + ")" * 2000):
+        with pytest.raises(TemplateSyntaxError, match="at most 100 'and'"):
+            parse_template(f"if {cond} then X else Y", schema)
+
+
+def test_last_filter_parameter_sets_the_offer_threshold():
+    schema = StateSchema((), (), ("Offer",))
+    ast = parse_template("Offer(filter=p0, filter=p1)", schema)
+    state = DialogState({"food": {"thai": 0.6}, "area": {"north": 0.9}})
+    decision = template_policy(ast, [0.1, 0.7])(state)
+    assert decision.offer_pairs == (("area", "north"),)
+    assert decision == interpret_policy(ast, [0.1, 0.7], state)
+
+
+def test_missing_variable_raised_at_the_clause_that_reads_it():
+    schema = StateSchema(("a", "zz"), (), ("X", "Y"))
+    ast = parse_template("if a then X else if zz then Y else X", schema)
+    assert evaluate_policy(ast, [], {"a": True}).clause_index == 0
+    with pytest.raises(MissingStateVariable, match="'zz'"):
+        evaluate_policy(ast, [], {"a": False})
+    state = DialogState({"food": {}}, turn_index=0)
+    flag = parse_template("if dialog_begin then X else if zz then Y else X",
+                          StateSchema(("dialog_begin", "zz"), (), ("X", "Y")))
+    assert template_policy(flag, [])(state).clause_index == 0
+    with pytest.raises(MissingStateVariable, match="'zz'"):
+        template_policy(flag, [])(DialogState({"food": {}}, turn_index=1))
+    assert set(STATE_VARIABLES) == set(_TABLE_BOOLS + _TABLE_NUMS)

@@ -15,7 +15,7 @@ from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
                                evaluate_policy_sim, exploring_policy,
                                Ontology, run_episode, sample_goal,
                                template_policy)
-from support import ListSwapChannel, fitness_simulation
+from support import ListSwapChannel, episode_rewards, fitness_simulation
 
 RULE_PARAMS = [0.3, 0.8, 0.5, 0.5]
 
@@ -170,7 +170,7 @@ def test_episode_rewards_match_discounted_return(ontology, restaurant_ast):
     for seed in range(10):
         log = run_episode(policy, env, random.Random(seed), error_rate=0.3)
         assert log.discounted_reward == pytest.approx(
-            discounted_return(log.rewards(), SIM_REWARDS.gamma))
+            discounted_return(episode_rewards(log), SIM_REWARDS.gamma))
 
 
 def test_always_repeat_times_out_without_patience(ontology):
@@ -198,7 +198,7 @@ def test_episode_determinism(ontology, restaurant_ast):
     a = run_episode(policy, env, random.Random(99), error_rate=0.4)
     b = run_episode(policy, env, random.Random(99), error_rate=0.4)
     assert [t.decision for t in a.turns] == [t.decision for t in b.turns]
-    assert a.rewards() == b.rewards()
+    assert episode_rewards(a) == episode_rewards(b)
     assert a.outcome == b.outcome
 
 
