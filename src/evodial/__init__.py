@@ -23,9 +23,8 @@ from .simulator import (HEURISTIC_PARAMS, NoiseConfig, Ontology,
                         load_ontology, make_synthetic_corpus, run_episode,
                         template_policy)
 from .batch_rl import (CorpusFitness, FittedQConfig, QModel, QValConfig,
-                       build_comparison_dms, evaluate_policy_on_corpus,
-                       fit_action_classifier, fitted_q_iteration,
-                       fitness_npoints, fitness_qval, template_corpus_policy)
+                       evaluate_policy_on_corpus, fit_action_classifier,
+                       fitted_q_iteration, template_corpus_policy)
 from .corpus_io import (Corpus, CorpusHeader, ResamplePlan, load_corpus,
                         resample_splits, save_corpus)
 

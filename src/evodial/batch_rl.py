@@ -174,26 +174,6 @@ def template_actions(ast: TemplateAst, params, states: np.ndarray,
     return evaluate_policy_batch(ast, params, cols, index)
 
 
-def fitness_npoints(ast: TemplateAst, params, states: np.ndarray,
-                    feature_names: Sequence[str], q: QModel) -> float:
-    """Number of corpus states where the template matches the greedy policy."""
-    return CorpusFitness(ast, states, tuple(feature_names), "npoints",
-                         q).evaluate(params, None)
-
-
-def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
-                 feature_names: Sequence[str], q: QModel,
-                 clf: ExtraTreesClassifier, cfg: QValConfig) -> float:
-    """Sum of thresholded Q-values for the template's action choices.
-
-    Actions whose behavior probability does not exceed ``delta`` (including
-    actions outside the corpus action set) contribute ``r_punish`` instead of
-    their Q-value.
-    """
-    return CorpusFitness(ast, states, tuple(feature_names), "qval", q, clf,
-                         cfg).evaluate(params, None)
-
-
 @dataclass
 class CorpusFitness:
     """GA fitness over a fixed corpus with precomputed model predictions.
@@ -401,23 +381,8 @@ def reference_actions(q_mat: np.ndarray, p_mat: np.ndarray,
 def reference_next_actions(q: QModel, clf: ExtraTreesClassifier,
                            cfg: QValConfig,
                            corpus: Corpus) -> dict[str, np.ndarray]:
-    """Each reference policy's action index at every open successor state
-    (as ``policy_next_actions`` of ``build_comparison_dms``'s policies),
+    """Each reference policy's action index at every open successor state,
     from one Q-matrix and one probability matrix."""
     S_next_open = corpus.S_next[~corpus.terminal]
     return reference_actions(q.q_matrix(S_next_open),
                              clf.predict_proba(S_next_open), cfg.delta)
-
-
-def build_comparison_dms(q: QModel, clf: ExtraTreesClassifier,
-                         cfg: QValConfig) -> dict[str, BatchPolicy]:
-    """The three reference corpus policies (see ``reference_actions``)."""
-
-    def policy(name: str) -> BatchPolicy:
-        def act(X: np.ndarray) -> np.ndarray:
-            return reference_actions(q.q_matrix(X), clf.predict_proba(X),
-                                     cfg.delta)[name]
-        return act
-
-    return {name: policy(name)
-            for name in ("SL-Original", "SL-MaxQ", "ThresholdedQ")}

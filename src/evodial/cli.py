@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import batch_rl, corpus_io, dsl, evolution, simulator
-from .core import CORPUS_REWARDS, SIM_REWARDS, template_feature_columns
+from .core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS,
+                   template_feature_columns)
 
 EXIT_CONFIG = 2
 EXIT_PARSE = 3
@@ -79,12 +80,19 @@ def _parse_ablate(text: str) -> list[int]:
     return ids
 
 
-def _load_template(path: str, ablate_ids=None):
+def _load_template(path: str, ablate_ids=None, simulated: bool = True):
+    """The template at ``path``; a ``simulated`` one may pick only the acts
+    that the simulated user answers, while a corpus fitness punishes a label
+    outside the corpus's action set."""
     source = Path(path).read_text(encoding="utf-8")
     ast = dsl.parse_template(source)
     if ablate_ids:
         ast = dsl.ablate(ast, ablate_ids)
     dsl.check_state_variables(ast)
+    for clause in ast.clauses:
+        if simulated and clause.action.act not in ACTIONS:
+            raise dsl.TemplateValidationError(
+                f"the simulated user knows no action {clause.action.act!r}")
     return ast
 
 
@@ -102,19 +110,16 @@ def _load_params(path: str | None, ast) -> np.ndarray:
                 raise ValueError(f"{path}: {exc}") from None
         values = obj.get("params") if isinstance(obj, dict) else obj
         source = path
-    try:
-        params = np.asarray(values, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        params = None
-    # NaN fails both comparisons
-    if params is None or params.ndim != 1 or \
-            not ((params >= 0.0) & (params <= 1.0)).all():
+    # exact types, since a cast would read true or "0.3" as a number; NaN
+    # fails both comparisons
+    if not (type(values) in (list, tuple) and all(
+            type(v) in (int, float) and 0.0 <= v <= 1.0 for v in values)):
         raise ValueError(f"{source}: parameters must be a list of numbers "
                          f"in [0, 1], or an object with such a 'params' list")
-    if len(params) != ast.param_count:
+    if len(values) != ast.param_count:
         raise dsl.ArityMismatch(f"{source}: template takes {ast.param_count} "
-                                f"parameters, got {len(params)}")
-    return params
+                                f"parameters, got {len(values)}")
+    return np.array(values, dtype=np.float64)
 
 
 def _load_ontology(args) -> simulator.Ontology:
@@ -277,7 +282,7 @@ def cmd_train_corpus(args) -> int:
     ga_cfg.validate()
     qv_cfg = batch_rl.QValConfig(delta=args.delta, r_punish=args.punish)
     plan = corpus_io.ResamplePlan(n_rounds=args.resamples, seed=args.seed)
-    ast = _load_template(args.template)
+    ast = _load_template(args.template, simulated=False)
     if ast.has_structural_params:
         raise dsl.StructuralParamForbidden(
             "corpus training needs a template without structural action "
@@ -379,7 +384,8 @@ def _pop_sweep(args, ast, ontology, out: Path) -> None:
 
 def cmd_evaluate(args) -> int:
     ast = _load_template(args.template,
-                         _parse_ablate(args.ablate) if args.ablate else None)
+                         _parse_ablate(args.ablate) if args.ablate else None,
+                         simulated=bool(args.pop_sweep or not args.corpus))
     ontology = _load_ontology(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

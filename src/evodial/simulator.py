@@ -16,7 +16,7 @@ from importlib import resources
 from math import exp, inf, log, sqrt
 from operator import attrgetter, methodcaller
 from random import LOG4, SG_MAGICCONST
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -470,13 +470,27 @@ def run_episode(policy: Policy, env: SimulatedDialogEnv, rng: random.Random,
                 rewards, env.rewards.gamma), state, len(rewards))
 
 
-def _episode_rng(master: np.random.Generator) -> random.Random:
-    return random.Random(int(master.integers(0, 2 ** 62)))
-
-
 def _check_episodes(n_episodes: int) -> None:
     if n_episodes < 1:
         raise ValueError(f"the number of episodes must be >= 1, got {n_episodes}")
+
+
+def simulate(policy: Policy, ontology: Ontology, rewards: RewardConfig,
+             n_episodes: int, master: np.random.Generator,
+             schedule: Sequence[float], error_rate: float | None = None,
+             record: bool = False) -> Iterator[EpisodeLog]:
+    """Logs of ``n_episodes`` dialogs of ``policy``, run as the iterator
+    reaches them.  The call draws one ``schedule`` index per episode from
+    ``master``, also under a fixed ``error_rate``; each episode draws its
+    stream's seed from ``master`` just before it runs."""
+    _check_episodes(n_episodes)
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
+    levels = master.integers(0, len(schedule), size=n_episodes).tolist()
+    # run_episode is looked up per episode, since perfbench's tracer patches it
+    return (run_episode(policy, env,
+                        random.Random(int(master.integers(0, 2 ** 62))),
+                        schedule[i] if error_rate is None else error_rate,
+                        record) for i in levels)
 
 
 @dataclass
@@ -495,6 +509,8 @@ class SimulationFitness:
     schedule: tuple[float, ...] = DEFAULT_NOISE_SCHEDULE
 
     def __post_init__(self):
+        # checked before the GA, which reports an evaluation's error as a
+        # fitness failure
         _check_episodes(self.n_episodes)
 
     @property
@@ -502,14 +518,9 @@ class SimulationFitness:
         return self.ast.param_count
 
     def evaluate(self, genome: np.ndarray, rng: np.random.Generator) -> float:
-        env = SimulatedDialogEnv(self.ontology, NoiseConfig(0.0), self.rewards)
-        policy = template_policy(self.ast, genome)
-        levels = rng.integers(0, len(self.schedule), size=self.n_episodes)
-        total = 0.0
-        for i in range(self.n_episodes):
-            log = run_episode(policy, env, _episode_rng(rng),
-                              error_rate=self.schedule[int(levels[i])],
-                              record=False)
+        total = 0.0  # added left to right: np.mean would round differently
+        for log in simulate(template_policy(self.ast, genome), self.ontology,
+                            self.rewards, self.n_episodes, rng, self.schedule):
             total += log.discounted_reward
         return total / self.n_episodes
 
@@ -559,20 +570,19 @@ def make_synthetic_corpus(ast: TemplateAst, params: Sequence[float],
     Each episode becomes one dialog (its index is the dialog id) whose rows
     are the featurized states before and after every turn.
     """
-    _check_episodes(n_episodes)
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"exploration rate epsilon must lie in [0, 1], got {epsilon}")
-    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
     base = template_policy(ast, params)
     master = np.random.default_rng(np.random.SeedSequence([seed]))
-    levels = master.integers(0, len(schedule), size=n_episodes)
-    explore_rng = random.Random(int(master.integers(0, 2 ** 62)))
+    explore_rng = random.Random()
     policy = exploring_policy(base, epsilon, explore_rng, ACTIONS) if epsilon > 0 \
         else base
+    episodes = simulate(policy, ontology, rewards, n_episodes, master,
+                        schedule, record=True)
+    # the exploration seed follows the levels, also when epsilon is 0
+    explore_rng.seed(int(master.integers(0, 2 ** 62)))
     rows = []
-    for i in range(n_episodes):
-        log = run_episode(policy, env, _episode_rng(master),
-                          error_rate=schedule[int(levels[i])])
+    for i, log in enumerate(episodes):
         visited = [t.state for t in log.turns] + [log.final_state]
         states = [featurize(s, ontology.slots) for s in visited]
         rows += [(i, j, states[j], ACTIONS.index(t.decision.act),
@@ -593,18 +603,10 @@ def evaluate_policy_sim(policy: Policy, ontology: Ontology,
     """Test a policy over seeded episodes; fixed ``error_rate`` overrides the
     mixed-noise schedule.  Identical seeds yield identical episode streams,
     which pairs the comparison when two policies are tested with one seed."""
-    _check_episodes(n_episodes)
-    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
-    master = np.random.default_rng(np.random.SeedSequence([seed]))
-    levels = master.integers(0, len(schedule), size=n_episodes)
-    rews = np.zeros(n_episodes)
-    lens = np.zeros(n_episodes, dtype=np.int64)
-    succ = np.zeros(n_episodes, dtype=bool)
-    for i in range(n_episodes):
-        rate = error_rate if error_rate is not None else schedule[int(levels[i])]
-        log = run_episode(policy, env, _episode_rng(master), error_rate=rate,
-                          record=False)
-        rews[i] = log.discounted_reward
-        lens[i] = log.n_turns
-        succ[i] = log.outcome == "success"
-    return EvalResult(rews, lens, succ)
+    logs = simulate(policy, ontology, rewards, n_episodes,
+                    np.random.default_rng(np.random.SeedSequence([seed])),
+                    schedule, error_rate)
+    rews, lens, succ = zip(*((log.discounted_reward, log.n_turns,
+                              log.outcome == "success") for log in logs))
+    return EvalResult(np.array(rews), np.array(lens, dtype=np.int64),
+                      np.array(succ))

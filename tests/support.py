@@ -1,9 +1,11 @@
 """Shared test machinery: grammar-level template generators, the template
 interpreter as the oracle of the compiled templates, the row-wise state
-variables, the per-state reward, test-only Q-model views, the
+variables, the per-state reward, test-only Q-model views, one-call corpus
+fitness functions and the reference corpus policies, the
 structured-view row grouping, tree-by-tree prediction, the record-by-record
 corpus writer and the SLU channel's list-copying swap as oracles, episode
-rewards and best-fitness histories, a one-shot simulation fitness,
+rewards and best-fitness histories, a one-shot simulation fitness, the
+master-stream layout of seeded episodes,
 enumerable MDP corpora with exact dynamic-programming oracles, and a robust
 peak estimator for heavily skewed samples."""
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from evodial.batch_rl import QModel, _one_hot
+from evodial.batch_rl import (BatchPolicy, CorpusFitness, QModel, QValConfig,
+                              _one_hot, reference_actions)
 from evodial.core import (_BOOL_FEATURES, OFFER_CORRECT, OFFER_DUPLICATE,
                           OFFER_WRONG, ActionDecision, DialogAct, DialogState,
                           NBestList, RewardConfig, _schema_slots,
@@ -26,8 +29,10 @@ from evodial.dsl import (DEFAULT_OFFER_THRESHOLD, EQ_TOLERANCE, ActionSpec,
                          BoolVar, Clause, Comparison, LogicNode,
                          MissingStateVariable, StateSchema, TemplateAst)
 from evodial.evolution import GenerationTrace
-from evodial.simulator import (EpisodeLog, NoiseConfig, Ontology,
-                               SimulationFitness, default_ontology)
+from evodial.simulator import (EpisodeLog, NoiseConfig, Ontology, Policy,
+                               SimulatedDialogEnv, SimulationFitness,
+                               default_ontology, run_episode)
+from evodial.trees import ExtraTreesClassifier
 
 # ---------------------------------------------------------------------------
 # Random templates over the policy grammar
@@ -250,8 +255,31 @@ def fitness_simulation(ast: TemplateAst, params: Sequence[float],
     return fitness.evaluate(np.asarray(params, dtype=np.float64), rng)
 
 
+def stream_layout_episodes(policy: Policy, ontology: Ontology,
+                           rewards: RewardConfig, n_episodes: int,
+                           master: np.random.Generator,
+                           schedule: Sequence[float],
+                           error_rate: float | None = None,
+                           explore_rng: random.Random | None = None
+                           ) -> list[EpisodeLog]:
+    """Recorded episodes drawn from ``master`` in the documented layout,
+    step by step: (1) one noise-level index per episode, also under a fixed
+    ``error_rate``; (2) only if ``explore_rng`` is given, that stream's
+    seed; (3) each episode's seed, just before it runs."""
+    levels = master.integers(0, len(schedule), size=n_episodes)
+    if explore_rng is not None:
+        explore_rng.seed(int(master.integers(0, 2 ** 62)))
+    env = SimulatedDialogEnv(ontology, NoiseConfig(0.0), rewards)
+    logs = []
+    for level in levels:
+        episode_rng = random.Random(int(master.integers(0, 2 ** 62)))
+        rate = schedule[int(level)] if error_rate is None else error_rate
+        logs.append(run_episode(policy, env, episode_rng, rate))
+    return logs
+
+
 # ---------------------------------------------------------------------------
-# Q-model views that only tests read
+# Q-model views and corpus policies that only tests read
 # ---------------------------------------------------------------------------
 
 def q_values(q: QModel, X: np.ndarray,
@@ -266,6 +294,40 @@ def q_values(q: QModel, X: np.ndarray,
 def greedy(q: QModel, X: np.ndarray) -> np.ndarray:
     """Greedy action indices; ties resolve to the lowest action index."""
     return q.q_matrix(X).argmax(axis=1)
+
+
+def fitness_npoints(ast: TemplateAst, params, states: np.ndarray,
+                    feature_names: Sequence[str], q: QModel) -> float:
+    """Number of corpus states where the template matches the greedy policy."""
+    return CorpusFitness(ast, states, tuple(feature_names), "npoints",
+                         q).evaluate(params, None)
+
+
+def fitness_qval(ast: TemplateAst, params, states: np.ndarray,
+                 feature_names: Sequence[str], q: QModel,
+                 clf: ExtraTreesClassifier, cfg: QValConfig) -> float:
+    """Sum of thresholded Q-values for the template's action choices.
+
+    Actions whose behavior probability does not exceed ``delta`` (including
+    actions outside the corpus action set) contribute ``r_punish`` instead of
+    their Q-value.
+    """
+    return CorpusFitness(ast, states, tuple(feature_names), "qval", q, clf,
+                         cfg).evaluate(params, None)
+
+
+def build_comparison_dms(q: QModel, clf: ExtraTreesClassifier,
+                         cfg: QValConfig) -> dict[str, BatchPolicy]:
+    """The three reference corpus policies (see ``reference_actions``)."""
+
+    def policy(name: str) -> BatchPolicy:
+        def act(X: np.ndarray) -> np.ndarray:
+            return reference_actions(q.q_matrix(X), clf.predict_proba(X),
+                                     cfg.delta)[name]
+        return act
+
+    return {name: policy(name)
+            for name in ("SL-Original", "SL-MaxQ", "ThresholdedQ")}
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ import pytest
 
 import evodial
 from evodial.batch_rl import (CorpusFitness, FittedQConfig, QValConfig,
-                              build_comparison_dms, evaluate_policy_on_corpus,
-                              fit_action_classifier, fitness_npoints,
-                              fitness_qval, fitted_q_iteration,
-                              template_actions, template_corpus_policy)
+                              evaluate_policy_on_corpus, fit_action_classifier,
+                              fitted_q_iteration, template_actions,
+                              template_corpus_policy)
 from evodial.core import CORPUS_REWARDS, SIM_REWARDS
 from evodial.corpus_io import ResamplePlan, resample_splits
 from evodial.dsl import (DanglingElse, StateSchema, TemplateSyntaxError,
@@ -29,7 +28,8 @@ from evodial.simulator import (DEFAULT_NOISE_SCHEDULE, HEURISTIC_PARAMS,
                                evaluate_policy_sim, make_synthetic_corpus,
                                template_policy)
 from support import (CHAIN_ACTIONS, CHAIN_STATE_VECS, SphereFitness,
-                     best_history, chain_corpus, chain_value_iteration,
+                     best_history, build_comparison_dms, chain_corpus,
+                     chain_value_iteration, fitness_npoints, fitness_qval,
                      fitted_peak,
                      q_values, random_template, variables_from_features)
 

@@ -4,9 +4,7 @@ import pytest
 from evodial import batch_rl
 from evodial.batch_rl import (CorpusFitness, FittedQConfig, FqeProblem,
                               MalformedEpisode, QModel, QValConfig,
-                              build_comparison_dms,
                               evaluate_policy_on_corpus, fit_action_classifier,
-                              fitness_npoints, fitness_qval,
                               first_fqe_ensemble, fitted_q_evaluation,
                               fitted_q_iteration, policy_next_actions,
                               reference_next_actions, template_actions,
@@ -20,8 +18,9 @@ from evodial.dsl import (ArityMismatch, StateSchema,
 from evodial.trees import ExtraTreesRegressor
 from support import (CHAIN_ACTIONS, CHAIN_FEATURES, CHAIN_HEADER,
                      CHAIN_REWARDS, CHAIN_STATE_VECS, EP_DIRECT, EP_STALL0,
-                     EP_STALL1, chain_corpus, chain_rows, chain_value_iteration,
-                     corpus_from_rows, greedy, q_values,
+                     EP_STALL1, build_comparison_dms, chain_corpus,
+                     chain_rows, chain_value_iteration, corpus_from_rows,
+                     fitness_npoints, fitness_qval, greedy, q_values,
                      variables_from_features)
 
 FQ_FAST = FittedQConfig(l_max=25, gamma=0.9, trees=30, k_features=5, n_min=2,

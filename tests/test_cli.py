@@ -524,6 +524,36 @@ def test_bad_input_files_exit_without_traceback(
     assert "Traceback" not in err
 
 
+_PARAMS_MESSAGE = ("parameters must be a list of numbers in [0, 1], or an "
+                   "object with such a 'params' list")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "make-corpus"])
+@pytest.mark.parametrize("params, code", [
+    ([True, 0.8, 0.5, 0.5], 2),
+    (["0.3", "0.8", "0.5", "0.5"], 2),
+    ({"params": [0.3, 0.8, "0.5", 0.5], "fitness": 1.0}, 2),
+    ({"params": [0, 1, 0.5, 0.5], "fitness": -3.5, "seed": 1, "ablate": []},
+     0),
+], ids=["boolean", "numeric-strings", "numeric-string-in-object",
+        "best-params-with-integers"])
+def test_params_file_values_are_taken_literally(template_file, tmp_path,
+                                                capsys, monkeypatch, command,
+                                                params, code):
+    # a cast would read true as 1.0 and "0.3" as 0.3; the extra keys of a
+    # best_params.json stay allowed
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    argv = [command, "--template", str(template_file), "--params", str(path),
+            "--out", str(tmp_path / "out"), "--seed", "1",
+            *_SMALL_RUN[command]]
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err == (f"error: {path}: {_PARAMS_MESSAGE}\n" if code else "")
+
+
 def test_every_exception_survives_pickling():
     # a worker's exception reaches the parent pickled; one that cannot be
     # rebuilt breaks the pool instead of reporting the error
@@ -684,6 +714,45 @@ def test_template_reading_an_unknown_variable_exits_before_any_work(
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("run, code", [
+    ("train-sim", 3), ("evaluate", 3), ("pop-sweep", 3), ("make-corpus", 3),
+    # a corpus fitness punishes a label outside the corpus's action set
+    ("train-corpus", 0), ("evaluate-corpus", 0)])
+def test_template_action_outside_the_simulator_is_rejected_before_any_work(
+        template_file, tmp_path, capsys, monkeypatch, run, code):
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    if code:
+        for owner, name in ((simulator, "run_episode"),
+                            (evolution, "run_ga")):
+            monkeypatch.setattr(owner, name, _too_early)
+    text = default_template_text().replace(
+        "action Offer\n", "action Offer\naction Foo\n").replace(
+        "if dialog_begin then Welcome", "if dialog_begin then Foo")
+    if run in ("train-corpus", "evaluate-corpus"):
+        text = text.replace("Offer(filter=p3)", "Offer")
+    template = tmp_path / "foo.template"
+    template.write_text(text, encoding="utf-8")
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps([0.3, 0.8, 0.5, 0.5] if "=p3" in text
+                                 else [0.3, 0.8, 0.5]))
+    command = {"pop-sweep": "evaluate",
+               "evaluate-corpus": "evaluate"}.get(run, run)
+    argv = [command, "--template", str(template), "--out",
+            str(tmp_path / "out"), "--seed", "1"]
+    argv += {"evaluate": [*_SMALL_RUN["evaluate"], "--params", str(params)],
+             "train-corpus": [*_SMALL_RUN["train-corpus"], "--corpus",
+                              str(corpus), "--pop", "4", "--n-mut", "1",
+                              "--k", "2", "--generations", "1"],
+             "evaluate-corpus": ["--params", str(params), "--corpus",
+                                 str(corpus), "--l-max", "2", "--trees", "2"]
+             }.get(run, _SMALL_RUN.get(run))
+    capsys.readouterr()
+    assert main(argv) == code
+    assert capsys.readouterr().err == \
+        ("error: the simulated user knows no action 'Foo'\n" if code else "")
 
 
 @pytest.mark.parametrize("command", ["train-corpus", "evaluate"])
@@ -943,6 +1012,65 @@ def test_fuzzed_templates_exit_without_traceback(template_file, tmp_path,
         template.write_text(text, encoding="utf-8")
         capsys.readouterr()
         code = main(runs[run][:1] + common + runs[run][1:])
+        err = capsys.readouterr().err
+        assert code == 0 or 2 <= code <= 5, (run, text, code)
+        assert code == 0 or (err.startswith("error: ")
+                             and err.count("\n") == 1), err
+        assert "Traceback" not in err
+
+    check()
+
+
+def _params_texts(st):
+    """``--params`` file texts: lists and objects of JSON values near a
+    valid parameter list, with extra keys, non-finite and huge numbers,
+    repeated keys, and truncated texts."""
+    numbers = (st.floats(0, 1) | st.integers(0, 1) | st.floats()
+               | st.integers() | st.integers(min_value=2 ** 1024))
+    leaves = (numbers | st.none() | st.booleans()
+              | st.text(max_size=4) | numbers.map(str))
+    values = st.recursive(leaves, lambda inner: st.lists(inner, max_size=5)
+                          | st.dictionaries(st.text(max_size=6), inner,
+                                            max_size=3), max_leaves=8)
+    in_range = st.floats(0, 1) | st.integers(0, 1)
+    lists = (st.lists(in_range, min_size=4, max_size=4)
+             | st.lists(in_range, min_size=3, max_size=5)
+             | st.lists(leaves, max_size=5))
+    objects = st.builds(lambda params, extra: {**extra, "params": params},
+                        lists | values, st.dictionaries(
+                            st.sampled_from(["fitness", "seed", "ablate",
+                                             "round"]), values, max_size=3))
+    texts = (lists | objects | values).map(json.dumps)
+    truncated = st.builds(lambda text, cut: text[:int(len(text) * cut)],
+                          texts, st.floats(0, 1, exclude_max=True))
+    repeated = lists.map(lambda params: '{"params": %s, "params": %s}'
+                         % (json.dumps(params), json.dumps(params)))
+    return texts | truncated | repeated
+
+
+def test_fuzzed_params_files_exit_without_traceback(template_file, tmp_path,
+                                                    capsys, monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    monkeypatch.delenv("EVODIAL_WORKERS", raising=False)
+    corpus = _corpus_with_dialogs(template_file, tmp_path, 3)
+    params = tmp_path / "fuzzed.json"
+    common = ["--params", str(params), "--out", str(tmp_path / "out"),
+              "--seed", "1"]
+    runs = {"evaluate": ["evaluate", "--template", str(template_file),
+                         *_SMALL_RUN["evaluate"]],
+            "make-corpus": ["make-corpus", "--template", str(template_file),
+                            *_SMALL_RUN["make-corpus"]],
+            "evaluate-corpus": ["evaluate", "--template",
+                                str(_flat_template(tmp_path)), "--corpus",
+                                str(corpus), "--l-max", "2", "--trees", "2"]}
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True)
+    @hypothesis.given(text=_params_texts(st), run=st.sampled_from(sorted(runs)))
+    def check(text, run):
+        params.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        code = main(runs[run] + common)
         err = capsys.readouterr().err
         assert code == 0 or 2 <= code <= 5, (run, text, code)
         assert code == 0 or (err.startswith("error: ")

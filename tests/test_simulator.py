@@ -5,17 +5,19 @@ import random
 import numpy as np
 import pytest
 
-from evodial.core import (SIM_REWARDS, ActionDecision, DialogAct,
-                          DialogState, NBestList, discounted_return)
+from evodial.core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS,
+                          ActionDecision, DialogAct, DialogState, NBestList,
+                          discounted_return)
 from evodial import simulator
 from evodial.simulator import (HEURISTIC_PARAMS, AgendaUser, BeliefTracker,
                                NoiseConfig,
                                PolicyError, SimulatedDialogEnv,
                                SimulationFitness, SluChannel,
                                evaluate_policy_sim, exploring_policy,
-                               Ontology, run_episode, sample_goal,
-                               template_policy)
-from support import ListSwapChannel, episode_rewards, fitness_simulation
+                               make_synthetic_corpus, Ontology, run_episode,
+                               sample_goal, simulate, template_policy)
+from support import (ListSwapChannel, episode_rewards, fitness_simulation,
+                     stream_layout_episodes)
 
 RULE_PARAMS = [0.3, 0.8, 0.5, 0.5]
 
@@ -471,3 +473,66 @@ def test_fitness_and_evaluation_build_no_turn_records(ontology, restaurant_ast,
         run_episode(template_policy(restaurant_ast, RULE_PARAMS),
                     SimulatedDialogEnv(ontology, NoiseConfig(0.0),
                                        SIM_REWARDS), random.Random(0))
+
+
+def _master(seed):
+    return np.random.default_rng(np.random.SeedSequence([seed]))
+
+
+def _summary(logs):
+    return [(log.discounted_reward, log.n_turns, log.outcome,
+             log.final_state) for log in logs]
+
+
+@pytest.mark.parametrize("error_rate", [None, 0.3])
+@pytest.mark.parametrize("record", [False, True])
+def test_simulate_follows_the_stream_layout(ontology, restaurant_ast,
+                                            error_rate, record):
+    # a fixed error_rate still takes the level draw, so the episodes of a
+    # noise sweep start where the schedule's would
+    policy = template_policy(restaurant_ast, RULE_PARAMS)
+    schedule = (0.0, 0.2, 0.5)
+    master, oracle_master = _master(11), _master(11)
+    logs = list(simulate(policy, ontology, SIM_REWARDS, 12, master, schedule,
+                         error_rate, record))
+    expected = stream_layout_episodes(policy, ontology, SIM_REWARDS, 12,
+                                      oracle_master, schedule, error_rate)
+    assert _summary(logs) == _summary(expected)
+    assert all((log.turns is None) != record for log in logs)
+    assert master.bit_generator.state == oracle_master.bit_generator.state
+
+
+def test_fitness_and_evaluation_read_the_stream_layout(ontology,
+                                                      restaurant_ast):
+    schedule = (0.0, 0.2, 0.5)
+    policy = template_policy(restaurant_ast, RULE_PARAMS)
+    returns = [log.discounted_reward for log in stream_layout_episodes(
+        policy, ontology, SIM_REWARDS, 9, _master(4), schedule)]
+    fitness = SimulationFitness(restaurant_ast, ontology, SIM_REWARDS,
+                                n_episodes=9, schedule=schedule)
+    total = 0.0
+    for value in returns:
+        total += value
+    assert fitness.evaluate(np.asarray(RULE_PARAMS), _master(4)) == total / 9
+    res = evaluate_policy_sim(policy, ontology, SIM_REWARDS, 9, 4,
+                              schedule=schedule)
+    assert res.rewards.tolist() == returns
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_make_corpus_draws_the_exploration_seed_before_the_episodes(
+        ontology, restaurant_ast, epsilon):
+    schedule = (0.0, 0.2, 0.5)
+    corpus = make_synthetic_corpus(restaurant_ast, RULE_PARAMS, ontology, 6,
+                                   8, CORPUS_REWARDS, schedule, epsilon)
+    base = template_policy(restaurant_ast, RULE_PARAMS)
+    explore_rng = random.Random()
+    policy = exploring_policy(base, epsilon, explore_rng, ACTIONS) \
+        if epsilon > 0 else base
+    logs = stream_layout_episodes(policy, ontology, CORPUS_REWARDS, 6,
+                                  _master(8), schedule,
+                                  explore_rng=explore_rng)
+    assert corpus.A.tolist() == [ACTIONS.index(t.decision.act)
+                                 for log in logs for t in log.turns]
+    assert corpus.dialog_id.tolist() == [i for i, log in enumerate(logs)
+                                         for _ in log.turns]
