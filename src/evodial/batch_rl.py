@@ -12,7 +12,7 @@ policy's starting-turn value.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -115,38 +115,81 @@ def _state_actions(corpus: Corpus) -> np.ndarray:
                       _one_hot(corpus.A, len(corpus.header.action_set))])
 
 
+@dataclass(frozen=True, eq=False)
+class FqeProblem:
+    """The regression inputs that fitted-Q and off-policy evaluation read
+    of one corpus, built once: the logged state-actions and the rewards.
+    Every fit on the corpus, and every policy evaluated on it, shares them.
+    """
+
+    corpus: Corpus
+    X_sa: np.ndarray
+    r: np.ndarray
+
+    @classmethod
+    def of(cls, data: "Corpus | FqeProblem") -> "FqeProblem":
+        if isinstance(data, FqeProblem):
+            return data
+        return cls(data, _state_actions(data), data.rewards())
+
+    def targets(self, q_pi: np.ndarray | float, gamma: float) -> np.ndarray:
+        """``r + gamma * q_pi`` with the successor values ``q_pi`` (or one
+        value for all) at the open (non-terminal) rows."""
+        Q = self.r.copy()
+        Q[~self.corpus.terminal] += gamma * q_pi
+        return Q
+
+    def fit(self, Q: np.ndarray, l: int,
+            cfg: FittedQConfig) -> ExtraTreesRegressor:
+        """Iteration ``l``'s ensemble on the logged state-actions."""
+        return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
+                                   seed=(cfg.seed, l)).fit(self.X_sa, Q)
+
+
+def _fitted_q(problem: FqeProblem, cfg: FittedQConfig,
+              successor_values: Callable[[ExtraTreesRegressor], np.ndarray],
+              first: ExtraTreesRegressor | None = None, fit_last: bool = True,
+              hook: Callable | None = None
+              ) -> tuple[np.ndarray, ExtraTreesRegressor | None]:
+    """The fitted-Q scheme; returns the last targets and ensemble.
+
+    Iteration ``l`` sets the targets ``r + gamma * q``, with ``q`` zero at
+    ``l == 1`` (so an open row's ``-0.0`` reward becomes ``0.0``) and
+    ``successor_values`` of the previous ensemble after, and fits them with
+    seed ``(cfg.seed, l)``; a given ``first`` replaces the first fit, and
+    the last targets are fitted only with ``fit_last``.
+    ``hook`` (if given) receives each fit's ``(l, targets, ensemble)``.
+    """
+    reg = None
+    for l in range(1, cfg.l_max + 1):
+        Q = problem.targets(0.0 if reg is None else successor_values(reg),
+                            cfg.gamma)
+        if l < cfg.l_max or fit_last:
+            reg = (first if l == 1 and first is not None
+                   else problem.fit(Q, l, cfg))
+            if hook is not None:
+                hook(l, Q, reg)
+    return Q, reg
+
+
 def fitted_q_iteration(corpus: Corpus | FqeProblem, cfg: FittedQConfig,
                        iteration_hook: Callable[
                            [int, np.ndarray, ExtraTreesRegressor], None]
                        | None = None) -> QModel:
     """Episodic fitted Q-iteration; returns the final Q-model.
 
-    Targets start at zero.  Each outer iteration sets terminal turns to their
-    immediate reward and bootstraps non-terminal turns through the running
-    regressor's action maximum, then refits the ensemble from scratch.
-    ``iteration_hook`` (if given) receives each iteration's number, target
-    array and fitted ensemble, e.g. for convergence monitoring.  The first
-    ensemble is the one ``first_fqe_ensemble`` fits on the same corpus,
-    which may be given as its ``FqeProblem``.
+    The fitted-Q scheme with an open turn's successor value the running
+    Q-model's action maximum.  ``iteration_hook`` (if given) receives each
+    iteration's number, target array and fitted ensemble, e.g. for
+    convergence monitoring; the first ensemble is ``first_fqe_ensemble``'s.
+    ``corpus`` may be given as its ``FqeProblem``.
     """
     problem = FqeProblem.of(corpus)
-    corpus, r = problem.corpus, problem.r
-    header, term = corpus.header, corpus.terminal
-    S_next_open = corpus.S_next[~term]
-    Q = np.zeros(len(corpus))
-    model: QModel | None = None
-    for l in range(1, cfg.l_max + 1):
-        if model is None:
-            q_max = np.zeros(len(S_next_open))
-        else:
-            q_max = model.q_matrix(S_next_open).max(axis=1)
-        Q[term] = r[term]
-        Q[~term] = r[~term] + cfg.gamma * q_max
-        reg = problem.fit(Q, l, cfg)
-        if iteration_hook is not None:
-            iteration_hook(l, Q.copy(), reg)
-        model = QModel(reg, header.action_set)
-    return model
+    S_next_open = problem.corpus.S_next[~problem.corpus.terminal]
+    actions = problem.corpus.header.action_set
+    _, reg = _fitted_q(problem, cfg, lambda prev: QModel(prev, actions)
+                       .q_matrix(S_next_open).max(axis=1), hook=iteration_hook)
+    return QModel(reg, actions)
 
 
 def fit_action_classifier(corpus: Corpus,
@@ -251,48 +294,11 @@ def policy_next_actions(policy: BatchPolicy, corpus: Corpus) -> np.ndarray:
     return pi_next
 
 
-@dataclass(frozen=True, eq=False)
-class FqeProblem:
-    """The regression inputs that fitted-Q and off-policy evaluation read
-    of one corpus, built once: the logged state-actions and the rewards.
-    Every fit on the corpus, and every policy evaluated on it, shares them.
-    """
-
-    corpus: Corpus
-    X_sa: np.ndarray
-    r: np.ndarray
-
-    @classmethod
-    def of(cls, data: "Corpus | FqeProblem") -> "FqeProblem":
-        if isinstance(data, FqeProblem):
-            return data
-        return cls(data, _state_actions(data), data.rewards())
-
-    def targets(self, q_pi: np.ndarray, gamma: float) -> np.ndarray:
-        """``r + gamma * q_pi`` with the successor values ``q_pi`` at the
-        open (non-terminal) rows."""
-        Q = self.r.copy()
-        Q[~self.corpus.terminal] += gamma * q_pi
-        return Q
-
-    def fit(self, Q: np.ndarray, l: int,
-            cfg: FittedQConfig) -> ExtraTreesRegressor:
-        """Iteration ``l``'s ensemble on the logged state-actions."""
-        return ExtraTreesRegressor(cfg.trees, cfg.k_features, cfg.n_min,
-                                   seed=(cfg.seed, l)).fit(self.X_sa, Q)
-
-
 def first_fqe_ensemble(corpus: Corpus | FqeProblem,
                        cfg: FittedQConfig) -> ExtraTreesRegressor:
-    """The first ensemble of ``fitted_q_evaluation`` on ``corpus``.
-
-    It regresses the immediate rewards (targets ``r + gamma * 0``) on the
-    logged state-actions with seed ``(cfg.seed, 1)``, so no evaluated
-    policy changes it; ``fitted_q_iteration`` fits the same ensemble first.
-    """
-    problem = FqeProblem.of(corpus)
-    n_open = int((~problem.corpus.terminal).sum())
-    return problem.fit(problem.targets(np.zeros(n_open), cfg.gamma), 1, cfg)
+    """The fitted-Q scheme's first ensemble on ``corpus``: the immediate
+    rewards regressed with seed ``(cfg.seed, 1)``, whatever the policy."""
+    return _fitted_q(FqeProblem.of(corpus), replace(cfg, l_max=1), None)[1]
 
 
 def fitted_q_evaluation(corpus: Corpus | FqeProblem,
@@ -301,39 +307,29 @@ def fitted_q_evaluation(corpus: Corpus | FqeProblem,
                         ) -> list[float]:
     """Off-policy value estimates of several policies on one corpus.
 
-    Runs the fitted-Q iteration scheme with the action maximum replaced by
-    each evaluated policy's own choice at the successor states (one array of
-    ``pi_nexts`` per policy, see ``policy_next_actions``) and returns, per
-    policy, the mean of the first-turn targets after ``cfg.l_max``
-    iterations.  ``corpus`` may be given as its ``FqeProblem``, which
-    callers evaluating many policies build once.
+    The fitted-Q scheme with the action maximum replaced by each evaluated
+    policy's own choice at the successor states (one array of ``pi_nexts``
+    per policy, see ``policy_next_actions``); returns, per policy, the mean
+    of the first-turn targets after ``cfg.l_max`` iterations.  ``corpus``
+    may be given as its ``FqeProblem``, which callers build once.
 
-    Iteration ``l`` computes targets from the ensemble fitted at ``l - 1``
-    (seed ``(cfg.seed, l - 1)``) and fits only while a later iteration
-    reads the result.  The first ensemble regresses the immediate rewards,
-    which no policy changes, so it is fitted once and shared: ``P`` policies
-    cost ``1 + P * (l_max - 2)`` ensemble fits for ``l_max >= 2`` and none
-    for ``l_max == 1``, with the same values as fitting each policy alone.
-    A given ``first`` ensemble (``first_fqe_ensemble(corpus, cfg)``, or
-    ``fitted_q_iteration``'s equal first one) replaces that fit, leaving
-    ``P * (l_max - 2)``.
+    Only ensembles that a later iteration reads are fitted, and the first,
+    which no policy changes, once for all: ``P`` policies cost
+    ``1 + P * (l_max - 2)`` fits for ``l_max >= 2`` and none for
+    ``l_max == 1``.  A given ``first`` ensemble (``first_fqe_ensemble``'s, or
+    ``fitted_q_iteration``'s equal first one) saves that fit.
     """
     problem = FqeProblem.of(corpus)
     corpus = problem.corpus
+    if first is None and cfg.l_max > 1:
+        first = first_fqe_ensemble(problem, cfg)
     S_next_open = corpus.S_next[~corpus.terminal]
-    Q_first = problem.targets(np.zeros(len(S_next_open)), cfg.gamma)
-    if cfg.l_max == 1:
-        return [float(Q_first[corpus.starts].mean())] * len(pi_nexts)
-    reg_first = problem.fit(Q_first, 1, cfg) if first is None else first
     values = []
     for pi_next in pi_nexts:
         X_next_pi = np.hstack([S_next_open, _one_hot(
             pi_next, len(corpus.header.action_set))])
-        reg = reg_first
-        for l in range(2, cfg.l_max + 1):
-            Q = problem.targets(reg.predict(X_next_pi), cfg.gamma)
-            if l < cfg.l_max:
-                reg = problem.fit(Q, l, cfg)
+        Q, _ = _fitted_q(problem, cfg, lambda prev: prev.predict(X_next_pi),
+                         first, fit_last=False)
         values.append(float(Q[corpus.starts].mean()))
     return values
 

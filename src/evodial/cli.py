@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import batch_rl, corpus_io, dsl, evolution, simulator
-from .core import (ACTIONS, CORPUS_REWARDS, SIM_REWARDS,
+from .core import (ACTIONS, CORPUS_REWARDS, REWARD_COLUMNS, SIM_REWARDS,
                    template_feature_columns)
 
 EXIT_CONFIG = 2
@@ -27,10 +27,16 @@ EXIT_PARSE = 3
 EXIT_DATA = 4
 EXIT_NUMERIC = 5
 
-_PARSE_ERRORS = (dsl.TemplateError, corpus_io.CorpusParseError)
-_DATA_ERRORS = (corpus_io.SchemaMismatch, corpus_io.MissingTerminal,
-                batch_rl.MalformedEpisode)
-_NUMERIC_ERRORS = (evolution.FitnessEvaluationFailure,)
+# (exception types, exit code) in the order main tries them: a
+# StructuralParamForbidden is also a TemplateError
+_EXIT_CODES = (
+    ((dsl.StructuralParamForbidden,), EXIT_DATA),
+    ((dsl.TemplateError, corpus_io.CorpusParseError), EXIT_PARSE),
+    ((corpus_io.SchemaMismatch, corpus_io.MissingTerminal,
+      batch_rl.MalformedEpisode), EXIT_DATA),
+    ((evolution.FitnessEvaluationFailure,), EXIT_NUMERIC),
+    ((evolution.InvalidConfig, OSError, ValueError), EXIT_CONFIG),
+)
 
 
 def _workers() -> int:
@@ -134,7 +140,7 @@ def _load_corpus(path: str) -> corpus_io.Corpus:
     corpus = corpus_io.load_corpus(path)
     header = corpus.header
     header.require_columns(template_feature_columns(header.feature_names)
-                           + corpus_io.REWARD_COLUMNS)
+                           + REWARD_COLUMNS)
     return corpus
 
 
@@ -283,10 +289,7 @@ def cmd_train_corpus(args) -> int:
     qv_cfg = batch_rl.QValConfig(delta=args.delta, r_punish=args.punish)
     plan = corpus_io.ResamplePlan(n_rounds=args.resamples, seed=args.seed)
     ast = _load_template(args.template, simulated=False)
-    if ast.has_structural_params:
-        raise dsl.StructuralParamForbidden(
-            "corpus training needs a template without structural action "
-            "parameters")
+    batch_rl._forbid_structural(ast)
     corpus = _load_corpus(args.corpus)
     header, n_dialogs = corpus.header, corpus.n_dialogs
     print(f"corpus: {n_dialogs} dialogs, {len(corpus)} transitions")
@@ -298,8 +301,7 @@ def cmd_train_corpus(args) -> int:
     scores = {d: {"train": [], "test": []} for d in _DM_NAMES}
     chosen = "GA-QVal" if args.fitness == "qval" else "GA-NPoints"
     best_rounds = []
-    if not len(corpus):
-        raise batch_rl.MalformedEpisode("corpus has no transitions")
+    batch_rl._require_transitions(corpus)
     for r, (train, test) in enumerate(corpus_io.resample_splits(corpus, plan)):
         if not len(train):  # the test side always keeps at least one dialog
             raise batch_rl.MalformedEpisode(
@@ -342,9 +344,11 @@ def _sweep_level(shared, rate: float) -> list:
 
 
 def _noise_sweep(args, ast, params, ontology, out: Path) -> None:
-    rows = evolution.parallel_map(
-        _sweep_level, _parse_levels(args.noise), _workers(),
-        (ast, params, ontology, args.episodes, args.seed))
+    levels = _parse_levels(args.noise)
+    with evolution.worker_map(_sweep_level, (ast, params, ontology,
+                                             args.episodes, args.seed),
+                              _workers()) as map_jobs:
+        rows = list(map_jobs(levels))
     _write_csv(out / "noise_sweep.csv",
                ["error_rate", "mean_reward", "std_reward", "mean_length",
                 "std_length", "completion_rate"], rows)
@@ -508,21 +512,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except dsl.StructuralParamForbidden as exc:
+    except tuple(t for types, _ in _EXIT_CODES for t in types) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _PARSE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except _DATA_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except _NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (evolution.InvalidConfig, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return next(code for types, code in _EXIT_CODES
+                    if isinstance(exc, types))
 
 
 if __name__ == "__main__":

@@ -242,7 +242,12 @@ def resolve_action(act: str, state: DialogState,
 # ---------------------------------------------------------------------------
 
 _BOOL_FEATURES = ("dialog_begin", "slu_empty", "slot_denied", "require_more_pending")
-_FLAG_FEATURES = ("offer_correct", "offer_duplicate", "offer_wrong")
+_OFFER_OUTCOMES = (OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG)
+# the offer-outcome flags, which Corpus.rewards reads the rewards off
+REWARD_COLUMNS = tuple(f"offer_{outcome}" for outcome in _OFFER_OUTCOMES)
+# the state variables that are features, as featurize reads them
+_FEATURE_GETTERS = [_VARIABLE_GETTERS[name]
+                    for name in ("top_slu_score", *_BOOL_FEATURES)]
 
 
 def feature_names(slots: Sequence[str]) -> tuple[str, ...]:
@@ -254,7 +259,7 @@ def feature_names(slots: Sequence[str]) -> tuple[str, ...]:
     names.append("filled_count")
     names.append("top_slu_score")
     names.extend(_BOOL_FEATURES)
-    names.extend(_FLAG_FEATURES)
+    names.extend(REWARD_COLUMNS)
     names.append("turn_frac")
     return tuple(names)
 
@@ -265,16 +270,10 @@ def featurize(state: DialogState, slots: Sequence[str]) -> np.ndarray:
     for slot in slots:
         vals.append(state.top_score(slot))
         vals.append(state.second_score(slot))
-    vals.append(float(sum(1 for s in slots if state.top_score(s) > 0.5)))
-    vals.append(state.top_slu_score)
-    vals.append(float(state.turn_index == 0))
-    vals.append(float(state.slu_empty))
-    vals.append(float(state.last_denied_slot is not None))
-    vals.append(float(not state.require_more_issued))
-    vals.append(float(state.last_offer_outcome == OFFER_CORRECT))
-    vals.append(float(state.last_offer_outcome == OFFER_DUPLICATE))
-    vals.append(float(state.last_offer_outcome == OFFER_WRONG))
-    vals.append(min(state.turn_index / DEFAULT_MAX_TURNS, 1.0))
+    vals.append(sum(1 for s in slots if state.top_score(s) > 0.5))
+    vals += [get(state) for get in _FEATURE_GETTERS]
+    vals += [state.last_offer_outcome == o for o in _OFFER_OUTCOMES]
+    vals.append(_VARIABLE_GETTERS["turn_frac"](state))
     return np.asarray(vals, dtype=np.float64)
 
 

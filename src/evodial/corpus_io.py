@@ -19,8 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (FEATURE_SCHEMA_VERSION, OFFER_CORRECT, OFFER_DUPLICATE,
-                   OFFER_WRONG, RewardConfig)
+from .core import FEATURE_SCHEMA_VERSION, REWARD_COLUMNS, RewardConfig
 
 
 class CorpusParseError(Exception):
@@ -52,11 +51,6 @@ class MissingTerminal(Exception):
 
     def __str__(self) -> str:
         return f"dialog {self.dialog_id}: {self.args[1]}"
-
-
-# the feature columns that Corpus.rewards reads
-REWARD_COLUMNS = tuple(f"offer_{outcome}" for outcome in
-                       (OFFER_CORRECT, OFFER_DUPLICATE, OFFER_WRONG))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,8 @@ that fittest, and fills the rest with mutate(crossover(tournament, tournament))
 children.  Mutation perturbs genes with a skewed half-Gaussian centered at the
 current value, rejection-resampled to stay inside [0, 1].
 
-``worker_map`` and ``parallel_map`` are the one place that dispatches work to
-worker processes, for the GA's fitness calls and for the CLI's other
-parallel steps.
+``worker_map`` is the one place that dispatches work to worker processes,
+for the GA's fitness calls and for the CLI's other parallel steps.
 """
 from __future__ import annotations
 
@@ -207,13 +206,6 @@ def worker_map(fn: Callable, shared, n_workers: int):
         yield lambda jobs: pool.map(_run_task, jobs)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
-
-
-def parallel_map(fn: Callable, jobs: Sequence, n_workers: int,
-                 shared) -> list:
-    """``[fn(shared, job) for job in jobs]``, over ``n_workers`` processes."""
-    with worker_map(fn, shared, n_workers) as map_jobs:
-        return list(map_jobs(jobs))
 
 
 def _eval_one(fitness: FitnessFunction, job) -> float:

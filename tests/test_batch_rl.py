@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -576,3 +578,36 @@ def test_empty_corpus_is_malformed():
         fitted_q_iteration(empty, FQ_FAST)
     with pytest.raises(MalformedEpisode, match="no transitions"):
         fit_action_classifier(empty, FQ_FAST)
+
+
+# fitted-Q on a small chain corpus: a sha256 of every iteration's hook
+# targets as float.hex(), and the final Q-matrix at the two open chain
+# states.  Leaves of 3+ rows and one candidate feature per node make the
+# Q-matrix depend on the ensemble seeds.  Recorded before fitted-Q and FQE
+# shared one loop.
+FQI_PIN_CFG = dict(gamma=0.9, trees=3, k_features=1, n_min=3, seed=3)
+FQI_PINS = {
+    1: ("34a27cf1cfcb96333e61ff1a8055ac361c638fb823fd84688289c158cbb11965",
+        ["0x1.db6db6db6db6dp+0", "-0x1.0000000000000p+0",
+         "0x1.16db6db6db6dbp+2", "0x1.8000000000000p+0"]),
+    2: ("41a3e2a4ca480396265181105cd7ecc96022395e9fb6d6aee69dd74a515c5be6",
+        ["0x1.2085bf37612cfp+2", "0x1.457c57c57c57bp+0",
+         "0x1.7f612cee3c9abp+2", "0x1.6075075075075p+1"]),
+    3: ("c6bb2b5c3ffdbb19f5bb5d7ed04746936ee7419700025768b9a53e8aea0237a3",
+        ["0x1.679fbffe16de5p+2", "0x1.b4df30b136f63p+1",
+         "0x1.aff0d5847694cp+2", "0x1.22c0addefb318p+2"]),
+}
+
+
+@pytest.mark.parametrize("l_max", sorted(FQI_PINS))
+def test_fitted_q_iteration_pinned_to_the_bit(l_max):
+    corpus = chain_corpus(6, rewards=FQE_PIN_REWARDS)
+    targets = []
+    q = fitted_q_iteration(corpus, FittedQConfig(l_max=l_max, **FQI_PIN_CFG),
+                           lambda l, Q, reg: targets.append(Q))
+    digest = hashlib.sha256(" ".join(
+        v.hex() for Q in targets for v in Q).encode()).hexdigest()
+    q_mat = q.q_matrix(np.stack([CHAIN_STATE_VECS["s0"],
+                                 CHAIN_STATE_VECS["s1"]]))
+    assert len(targets) == l_max
+    assert (digest, [v.hex() for v in q_mat.ravel()]) == FQI_PINS[l_max]

@@ -291,3 +291,34 @@ def test_resolve_offer_filters_by_threshold():
                                  "pricerange": {"cheap": 0.6}, "name": {}})
     decision = resolve_action("Offer", state, offer_threshold=0.5)
     assert dict(decision.offer_pairs) == {"food": "thai", "pricerange": "cheap"}
+
+
+# featurize on hand-built states, one value per feature as float.hex(); the
+# bits were recorded before the feature vector read the state-variable
+# getters and must not move
+_ZERO, _ONE = "0x0.0p+0", "0x1.0000000000000p+0"
+FEATURIZE_PINS = [
+    (DialogState({"food": {}, "area": {}}),
+     [_ZERO] * 6 + [_ONE, _ONE, _ZERO, _ONE] + [_ZERO] * 4),
+    (DialogState({"food": {"thai": 0.1 + 0.2, "korean": 0.7 / 3},
+                  "area": {"north": 0.55}},
+                 top_slu_score=0.1 + 0.7, slu_empty=False,
+                 require_more_issued=True, turn_index=7),
+     ["0x1.3333333333334p-2", "0x1.dddddddddddddp-3", "0x1.199999999999ap-1",
+      _ZERO, _ONE, "0x1.9999999999999p-1"] + [_ZERO] * 7
+     + ["0x1.ddddddddddddep-3"]),
+    (DialogState({"food": {"thai": 2 / 3}, "area": {"north": 0.3,
+                                                    "south": 0.45}},
+                 top_slu_score=1 / 3, slu_empty=False,
+                 last_denied_slot="area", last_offer_outcome="duplicate",
+                 turn_index=31),
+     ["0x1.5555555555555p-1", _ZERO, "0x1.ccccccccccccdp-2",
+      "0x1.3333333333333p-2", _ONE, "0x1.5555555555555p-2", _ZERO, _ZERO,
+      _ONE, _ONE, _ZERO, _ONE, _ZERO, _ONE]),
+]
+
+
+@pytest.mark.parametrize("case", range(len(FEATURIZE_PINS)))
+def test_featurize_pinned_to_the_bit(case):
+    state, expected = FEATURIZE_PINS[case]
+    assert [v.hex() for v in featurize(state, ("food", "area"))] == expected
